@@ -20,9 +20,9 @@ from repro.core.throughput import throughput_report
 from repro.hw.smartssd import SmartSSD
 from repro.ransomware.benign import ALL_BENIGN_PROFILES
 from repro.ransomware.families import LOCKBIT
-from repro.ransomware.mitigation import ProtectedStorage
 from repro.ransomware.replay import HostReplay
 from repro.ransomware.sandbox import CuckooSandbox
+from repro.response.legacy import ProtectedStorage
 
 
 def bench_sustained_throughput(benchmark, bench_model):

@@ -17,12 +17,6 @@ Environment knobs:
   session :class:`~repro.telemetry.Telemetry` (``bench_telemetry``
   fixture), and the final metric/span snapshot is appended at session
   end — so benchmark result files are self-describing.
-* ``REPRO_BENCH_WORKERS`` — worker-process count for benches that can
-  shard across a :class:`~repro.core.parallel.WorkerPool` (default 0 =
-  auto: the host's core count).  Worker telemetry merges into the same
-  session Telemetry through the exact-merge snapshot path, so
-  ``REPRO_BENCH_TELEMETRY`` still produces **one** merged export with
-  identical counters/histograms whether the pool is on or off.
 """
 
 from __future__ import annotations
@@ -38,7 +32,6 @@ from repro.ransomware.dataset import build_dataset
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.1"))
 BENCH_EPOCHS = int(os.environ.get("REPRO_BENCH_EPOCHS", "25"))
 BENCH_TELEMETRY_PATH = os.environ.get("REPRO_BENCH_TELEMETRY", "")
-BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "0") or 0)
 
 #: Collected report blocks, printed in the terminal summary.
 _REPORT_BLOCKS: list = []
@@ -82,18 +75,6 @@ def bench_telemetry():
     and span trees land next to the bench_report events.
     """
     return _TELEMETRY
-
-
-@pytest.fixture(scope="session")
-def bench_workers():
-    """Worker-pool size for shardable benches (``REPRO_BENCH_WORKERS``).
-
-    0 (the default) means auto: use the host's core count.  1 disables
-    the pool entirely.
-    """
-    if BENCH_WORKERS > 0:
-        return BENCH_WORKERS
-    return max(1, os.cpu_count() or 1)
 
 
 @pytest.fixture(scope="session")

@@ -163,11 +163,7 @@ def _run_evaluate(args) -> int:
                         backend=getattr(args, "backend", None))
     _maybe_attach_telemetry(engine, args)
     subset = dataset.subset(np.arange(min(args.limit, len(dataset))))
-    metrics = classification_report(
-        engine.predict(subset.sequences, workers=getattr(args, "workers", 1)),
-        subset.labels,
-    )
-    engine.shutdown_pool()
+    metrics = classification_report(engine.predict(subset.sequences), subset.labels)
     for name, value in metrics.items():
         print(f"{name:10s} {value:.4f}")
     print(f"per-item inference: {engine.per_item_microseconds():.5f} us "
@@ -445,7 +441,6 @@ def _run_fleet_serve(args) -> int:
         ),
         planner=planner, fault_plans=fault_plans,
         telemetry=getattr(args, "_telemetry", None),
-        workers=getattr(args, "workers", 1),
     )
     report = server.serve(workload)
     print(f"fleet: {args.devices} devices, {args.streams} streams x "
@@ -669,6 +664,10 @@ def _add_generalize_command(subparsers) -> None:
                         help="engine rung(s) to evaluate at (repeatable; "
                              "default FIXED_POINT)")
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--workers", type=int, default=1, metavar="N",
+                        help="run the independent folds across N forked "
+                             "processes (bit-exact with N=1; see "
+                             "docs/performance.md)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write the full report as JSON to PATH")
     _add_training_arguments(parser)
@@ -698,7 +697,7 @@ def _run_generalize(args) -> int:
         threshold=args.threshold,
         optimizations=levels,
         epochs=args.epochs,
-        workers=max(1, getattr(args, "workers", 1)),
+        workers=max(1, args.workers),
         train_backend=args.train_backend,
         cache_dir=args.cache_dir,
     )
@@ -874,12 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry", metavar="PATH", default=None,
         help="write structured telemetry (JSON lines, schema in "
              "docs/observability.md) to PATH",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="shard inference across N forked worker processes sharing "
-             "the weights through shared memory (bit-exact with N=1; "
-             "see docs/performance.md)",
     )
     parser.add_argument(
         "--backend", choices=available_backends(), default=None,

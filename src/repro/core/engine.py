@@ -93,6 +93,25 @@ class BatchInferenceResult:
         )
 
 
+def _token_array(values) -> np.ndarray:
+    """``values`` as an int64 array, rejecting non-integer token ids.
+
+    A bare ``astype(np.int64)`` truncates ``1.9`` to token 1 and turns NaN
+    into a huge negative id, so float input must hold whole numbers.
+    """
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if kind == "f":
+        integral = np.isfinite(array) & (np.floor(array) == array)
+        integral &= np.abs(array) < 2.0**63
+        if not integral.all():
+            bad = float(array[~integral].flat[0])
+            raise ValueError(f"token ids must be integers, got {bad}")
+    elif kind not in "iub":
+        raise ValueError(f"token ids must be integers, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)
+
+
 class CSDInferenceEngine:
     """LSTM inference offloaded entirely to a (simulated) CSD FPGA.
 
@@ -128,7 +147,6 @@ class CSDInferenceEngine:
         self.quantized: QuantizedHostWeights | None = None
         self.storage: SmartSSD | None = None
         self.sequences_processed = 0
-        self._pool = None  # cached WorkerPool (see worker_pool)
         self._step_backend = None  # cached kernel backend (see step_backend)
         self.telemetry = None
         if telemetry is not None:
@@ -315,7 +333,7 @@ class CSDInferenceEngine:
             Iterable of ``sequence_length`` integer token ids.
         """
         self._require_loaded()
-        tokens = np.asarray(list(token_ids), dtype=np.int64)
+        tokens = _token_array(list(token_ids))
         expected = self.config.dimensions.sequence_length
         if tokens.shape != (expected,):
             raise ValueError(
@@ -347,7 +365,7 @@ class CSDInferenceEngine:
             Integer array of shape ``(N, sequence_length)`` with ``N >= 1``.
         """
         self._require_loaded()
-        batch = np.asarray(sequences, dtype=np.int64)
+        batch = _token_array(sequences)
         expected = self.config.dimensions.sequence_length
         if batch.ndim != 2 or batch.shape[1] != expected:
             raise ValueError(
@@ -475,56 +493,13 @@ class CSDInferenceEngine:
             self.storage.release_fpga_dram(fetched_bytes)
         return result, transfer_seconds
 
-    def worker_pool(self, workers: int):
-        """The engine's persistent data-parallel backend (built on demand).
-
-        The pool is cached: asking for the same worker count returns the
-        live pool (forking and re-broadcasting weights per call would
-        defeat the point); a different count rebuilds it.  The pool
-        tracks this engine's current telemetry.  See
-        :class:`repro.core.parallel.WorkerPool`.
-        """
-        from repro.core.parallel import WorkerPool
-
-        self._require_loaded()
-        pool = self._pool
-        if pool is None or pool.workers != workers:
-            if pool is not None:
-                pool.close()
-            pool = WorkerPool(
-                self.config, self.weights, workers,
-                telemetry=self.telemetry, local_engine=self,
-            )
-            self._pool = pool
-        else:
-            pool.telemetry = self.telemetry
-        return pool
-
-    def shutdown_pool(self) -> None:
-        """Release the cached worker pool (processes + shared memory)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def predict_proba(
-        self, sequences, chunk_size: int = 1024, workers: int = 1
-    ) -> np.ndarray:
+    def predict_proba(self, sequences, chunk_size: int = 1024) -> np.ndarray:
         """Probabilities for a batch of sequences, shape ``(N,)``.
 
         Runs :meth:`infer_batch` over ``chunk_size``-sequence slices to
         bound the float path's ``(chunk, 4H, H+E)`` broadcast temporary;
         chunking cannot change any value (rows are independent).
-
-        With ``workers > 1`` the chunks shard across a persistent
-        :class:`~repro.core.parallel.WorkerPool` of forked processes and
-        merge in shard order — bit-exact with ``workers=1`` at every
-        optimisation level (falls back in-process where fork or shared
-        memory is unavailable).
         """
-        if workers > 1:
-            return self.worker_pool(workers).predict_proba(
-                sequences, chunk_size=chunk_size
-            )
         sequences = np.asarray(sequences)
         if sequences.ndim != 2:
             raise ValueError(f"expected (N, T) batch, got shape {sequences.shape}")
@@ -539,13 +514,9 @@ class CSDInferenceEngine:
             ]
         )
 
-    def predict(
-        self, sequences, threshold: float = 0.5, workers: int = 1
-    ) -> np.ndarray:
+    def predict(self, sequences, threshold: float = 0.5) -> np.ndarray:
         """Hard 0/1 predictions for a batch of sequences."""
-        return (
-            self.predict_proba(sequences, workers=workers) >= threshold
-        ).astype(int)
+        return (self.predict_proba(sequences) >= threshold).astype(int)
 
     # ------------------------------------------------------------------
     # Reporting

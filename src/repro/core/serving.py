@@ -341,7 +341,7 @@ class _Device:
     __slots__ = (
         "index", "engine", "fault_plan", "service_us", "queue", "busy",
         "dead", "current_batch", "batch_start_us", "busy_us", "batches",
-        "pending_task", "sessions", "token_buffer", "current_tick",
+        "sessions", "token_buffer", "current_tick",
         "buffer_streams", "wake_at",
     )
 
@@ -357,7 +357,6 @@ class _Device:
         self.batch_start_us = 0
         self.busy_us = 0
         self.batches = 0
-        self.pending_task = None    # (batch_id, WorkerPool handle)
         self.sessions = None        # SessionManager (session mode only)
         self.token_buffer: list = []
         self.buffer_streams: dict = {}  # stream -> buffered-token count
@@ -393,18 +392,6 @@ class FleetServer:
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`; observation-only,
         never alters scheduling or numerics.
-    workers:
-        With ``workers > 1`` the devices' numeric batch work (the real
-        ``infer_batch`` forward passes) offloads to one shared
-        :class:`~repro.core.parallel.WorkerPool`, overlapping host
-        computation across devices between simulated events.  Scheduling
-        stays on the simulated clock, so the event log, completions, and
-        probabilities are identical to ``workers=1`` (scheduling never
-        consults the probabilities).  Requires a homogeneous fleet: all
-        engines sharing one config and one weights object (what
-        :func:`build_fleet` builds).  Per-engine ``csd.*`` span trees
-        and ``sequences_processed`` stay with the workers in this mode;
-        metrics merge exactly (see ``docs/performance.md``).
     router:
         Optional callable ``stream_name -> device index | None``.  When
         given it replaces the static stream→device dict for every
@@ -440,7 +427,6 @@ class FleetServer:
         planner: FleetPlanner | None = None,
         fault_plans: dict | None = None,
         telemetry=None,
-        workers: int = 0,
         router=None,
         on_device_failed=None,
         on_verdict=None,
@@ -452,16 +438,6 @@ class FleetServer:
         for engine in engines[1:]:
             if engine.config.dimensions != dims:
                 raise ValueError("all fleet engines must share model dimensions")
-        self.workers = int(workers)
-        if self.workers > 1:
-            head = engines[0]
-            for engine in engines[1:]:
-                if engine.config != head.config or engine.weights is not head.weights:
-                    raise ValueError(
-                        "workers > 1 requires a homogeneous fleet: every "
-                        "engine must share one config and one weights "
-                        "object (use build_fleet)"
-                    )
         self.config = config or ServingConfig()
         self.streams = list(streams)
         self.planner = planner
@@ -501,7 +477,6 @@ class FleetServer:
         self._device_failures = 0
         self._offered = 0
         self._batch_counter = 0
-        self._pool = None  # live only inside serve() when workers > 1
 
         # Session (token-stream) mode state; populated by begin_tokens().
         self._token_mode = False
@@ -661,16 +636,6 @@ class FleetServer:
             device.busy = True
             device.current_batch = (batch_id, batch)
             device.batch_start_us = now
-            if self._pool is not None:
-                # Start the real forward pass now; it overlaps with other
-                # devices' work until the simulated completion event
-                # collects it in _complete_batch.
-                device.pending_task = (
-                    batch_id,
-                    self._pool.submit_infer(
-                        np.stack([request.sequence for request in batch])
-                    ),
-                )
             slowdown = device.fault_plan.service_slowdown(now)
             service_us = max(
                 1, math.ceil(len(batch) * device.service_us * slowdown)
@@ -695,12 +660,8 @@ class FleetServer:
         if current_id != batch_id:
             return  # stale completion event
         now = self._sim.now
-        if device.pending_task is not None and device.pending_task[0] == batch_id:
-            probabilities = self._pool.result(device.pending_task[1])
-            device.pending_task = None
-        else:
-            sequences = np.stack([request.sequence for request in batch])
-            probabilities = device.engine.infer_batch(sequences).probabilities
+        sequences = np.stack([request.sequence for request in batch])
+        probabilities = device.engine.infer_batch(sequences).probabilities
         device.busy = False
         device.current_batch = None
         device.busy_us += now - device.batch_start_us
@@ -771,10 +732,6 @@ class FleetServer:
             device.busy_us += now - device.batch_start_us
             device.busy = False
             device.current_batch = None
-            if device.pending_task is not None:
-                if self._pool is not None:
-                    self._pool.discard(device.pending_task[1])
-                device.pending_task = None
             orphans.extend(batch)
         orphans.extend(device.queue)
         device.queue = []
@@ -1275,37 +1232,17 @@ class FleetServer:
         scheduled on the event queue and the simulator drains it.
         """
         requests = sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
-        pool = None
-        if self.workers > 1:
-            from repro.core.parallel import WorkerPool
-
-            head = self.devices[0].engine
-            pool = WorkerPool(
-                head.config, head.weights, self.workers,
-                telemetry=self.telemetry, local_engine=head,
-            )
-            if pool.mode != "pool":
-                # Degraded environment: running inline on the device
-                # engines keeps their span trees and statistics.
-                pool.close()
-                pool = None
-        self._pool = pool
-        try:
-            for device in self.devices:
-                fail = device.fault_plan.device_fail
-                if fail is not None:
-                    self._sim.schedule(
-                        fail.at_us, (lambda d: lambda: self._fail_device(d))(device)
-                    )
-            for request in requests:
+        for device in self.devices:
+            fail = device.fault_plan.device_fail
+            if fail is not None:
                 self._sim.schedule(
-                    request.arrival_us, (lambda r: lambda: self._arrive(r))(request)
+                    fail.at_us, (lambda d: lambda: self._fail_device(d))(device)
                 )
-            duration = self._sim.run()
-        finally:
-            self._pool = None
-            if pool is not None:
-                pool.close()
+        for request in requests:
+            self._sim.schedule(
+                request.arrival_us, (lambda r: lambda: self._arrive(r))(request)
+            )
+        duration = self._sim.run()
         if self.telemetry is not None:
             horizon = max(duration, 1)
             for device in self.devices:

@@ -1063,8 +1063,7 @@ class SessionManager:
 # the stream).  The model below quantifies that variant on top of the
 # existing kernel timings for the streaming ablation benchmark; it lives
 # with the streaming-session serving layer because both describe the
-# engine's streaming story (formerly ``repro.core.streaming``, which now
-# re-exports from here).
+# engine's streaming story.
 
 #: Cycles for a word to traverse an AXI4-Stream FIFO hand-off.
 STREAM_FIFO_LATENCY_CYCLES = 2

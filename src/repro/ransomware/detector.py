@@ -146,21 +146,19 @@ class RansomwareDetector:
             window_length=self._window_length,
         )
 
-    def evaluate(self, dataset: Dataset, workers: int = 1) -> dict:
+    def evaluate(self, dataset: Dataset) -> dict:
         """Batch-classify a dataset split through the CSD engine.
 
         Runs the engine's vectorised batch path (one forward pass over the
         whole split, chunked for memory) rather than a per-sequence Python
-        loop; the probabilities are bit-exact either way.  ``workers > 1``
-        shards the chunks across the engine's
-        :class:`~repro.core.parallel.WorkerPool` — same values, more cores.
+        loop; the probabilities are bit-exact either way.
 
         Returns the paper's four metrics (accuracy/precision/recall/F1).
         Sequences must match the engine's configured window length.
         """
         from repro.nn.metrics import classification_report
 
-        probabilities = self.engine.predict_proba(dataset.sequences, workers=workers)
+        probabilities = self.engine.predict_proba(dataset.sequences)
         predictions = (probabilities >= self.threshold).astype(int)
         telemetry = self.engine.telemetry
         if telemetry is not None:

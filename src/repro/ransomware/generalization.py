@@ -74,9 +74,7 @@ class GeneralizationConfig:
     test_fraction: float = 0.2
     #: With ``workers > 1`` the independent (modality, fold) tasks run
     #: concurrently on :func:`repro.core.parallel.parallel_map` (results
-    #: and telemetry merge in fold order — bit-identical to ``workers=1``);
-    #: serial runs instead pass ``workers`` down to the engine's
-    #: shard-parallel ``predict_proba``.
+    #: and telemetry merge in fold order — bit-identical to ``workers=1``).
     workers: int = 1
     #: Training kernel backend (``repro.nn.kernels``); ``"fused"`` is
     #: bit-exact with ``"reference"`` and ~4x faster on a compiled tier.
@@ -301,9 +299,8 @@ def evaluate_generalization(
     # One task per (modality, fold): every task is independent, so they
     # go through parallel_map as a flat list.  With workers=1 this is the
     # plain serial loop (tasks run in order, in process, on the parent
-    # telemetry session); with workers>1 the folds run concurrently, the
-    # engine's inner shard pool is disabled (no nested pools), progress
-    # lines are replayed parent-side in fold order, and per-worker
+    # telemetry session); with workers>1 the folds run concurrently,
+    # progress lines are replayed parent-side in fold order, and per-worker
     # telemetry merges deterministically — same results either way.
     tasks = [
         (modality_name, fold_index)
@@ -312,14 +309,12 @@ def evaluate_generalization(
     ]
     pooled = config.workers > 1 and len(tasks) > 1
     task_emit = (lambda line: None) if pooled else emit
-    engine_workers = 1 if pooled else config.workers
 
     def _run_task(index: int, task_telemetry) -> FoldResult:
         modality_name, fold_index = tasks[index]
         return _evaluate_fold(
             modality_name, datasets[modality_name], fold_index,
             fold_sets[fold_index], config, task_telemetry, task_emit,
-            engine_workers=engine_workers,
         )
 
     fold_results = parallel_map(
@@ -381,7 +376,6 @@ def _evaluate_fold(
     config: GeneralizationConfig,
     telemetry,
     emit,
-    engine_workers: int = 1,
 ) -> FoldResult:
     """Train on all but ``held_out`` families; evaluate both sides."""
     in_distribution_full, held_out_set = dataset.split_by_source(held_out)
@@ -428,12 +422,8 @@ def _evaluate_fold(
         )
         if telemetry is not None:
             engine.attach_telemetry(telemetry)
-        id_probs = engine.predict_proba(
-            test_split.sequences, workers=engine_workers
-        )
-        held_probs = engine.predict_proba(
-            held_out_set.sequences, workers=engine_workers
-        )
+        id_probs = engine.predict_proba(test_split.sequences)
+        held_probs = engine.predict_proba(held_out_set.sequences)
 
         id_predictions = (id_probs >= config.threshold).astype(int)
         in_distribution = classification_report(id_predictions, test_split.labels)

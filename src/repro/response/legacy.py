@@ -1,10 +1,10 @@
 """The retired mitigation surface, reimplemented on the response subsystem.
 
-``repro.ransomware.mitigation`` grew into :mod:`repro.response`: the
-quarantine-on-confirmed-verdict behaviour is now one rung of the
-graduated escalation ladder, and every quarantine leaves a hash-chained
-audit trail.  This module keeps the old names working with their exact
-historical semantics:
+The original single-drive mitigation engine grew into
+:mod:`repro.response`: the quarantine-on-confirmed-verdict behaviour is
+now one rung of the graduated escalation ladder, and every quarantine
+leaves a hash-chained audit trail.  This module keeps the old classes
+with their exact historical semantics:
 
 * :class:`ProtectedStorage` — per-process write admission in front of an
   :class:`~repro.hw.ssd.NvmeSsd` (the modern equivalent is the

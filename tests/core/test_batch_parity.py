@@ -122,6 +122,26 @@ class TestBatchValidation:
         with pytest.raises(ValueError, match="out of range"):
             engine.infer_batch(batch)
 
+    @pytest.mark.parametrize("bad", [1.9, float("nan")], ids=["fraction", "nan"])
+    def test_rejects_non_integer_token_ids(self, model, level, bad):
+        engine = make_engine(model, level)
+        batch = make_batch(2).astype(np.float64)
+        batch[1, 3] = bad
+        with pytest.raises(ValueError, match="must be integers"):
+            engine.infer_batch(batch)
+        with pytest.raises(ValueError, match="must be integers"):
+            engine.predict_proba([[bad] * SEQ_LEN])
+        with pytest.raises(ValueError, match="must be integers"):
+            engine.infer_sequence(batch[1])
+
+    def test_accepts_whole_float_token_ids(self, model, level):
+        engine = make_engine(model, level)
+        batch = make_batch(3)
+        assert np.array_equal(
+            engine.predict_proba(batch.astype(np.float64)),
+            engine.predict_proba(batch),
+        )
+
     def test_empty_predict_proba(self, model, level):
         engine = make_engine(model, level)
         out = engine.predict_proba(np.zeros((0, SEQ_LEN), dtype=np.int64))

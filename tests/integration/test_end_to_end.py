@@ -13,12 +13,12 @@ from repro.nn.metrics import classification_report
 from repro.nn.serialization import dump_weights
 from repro.ransomware.detector import RansomwareDetector
 from repro.ransomware.families import LOCKBIT, WANNACRY
-from repro.ransomware.mitigation import (
+from repro.ransomware.sandbox import CuckooSandbox
+from repro.response.legacy import (
     MitigationEngine,
     ProtectedStorage,
     WriteBlocked,
 )
-from repro.ransomware.sandbox import CuckooSandbox
 from tests.conftest import TEST_SEQUENCE_LENGTH
 
 

@@ -9,9 +9,9 @@ from repro.core.throughput import ThroughputReport, throughput_report
 from repro.hw.smartssd import SmartSSD
 from repro.ransomware.benign import ALL_BENIGN_PROFILES
 from repro.ransomware.families import CERBER, LOCKY
-from repro.ransomware.mitigation import ProtectedStorage
 from repro.ransomware.replay import HostReplay, PerProcessDetectorBank, ReplayEvent
 from repro.ransomware.sandbox import CuckooSandbox
+from repro.response.legacy import ProtectedStorage
 from tests.conftest import TEST_SEQUENCE_LENGTH
 
 

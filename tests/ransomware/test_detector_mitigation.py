@@ -9,12 +9,12 @@ from repro.hw.ssd import NvmeSsd
 from repro.ransomware.cti import ModelUpdateWorkflow, NOVEL_STRAIN, ThreatReport
 from repro.ransomware.detector import RansomwareDetector, Verdict, train_detector
 from repro.ransomware.families import RYUK
-from repro.ransomware.mitigation import (
+from repro.ransomware.sandbox import CuckooSandbox
+from repro.response.legacy import (
     MitigationEngine,
     ProtectedStorage,
     WriteBlocked,
 )
-from repro.ransomware.sandbox import CuckooSandbox
 from tests.conftest import TEST_SEQUENCE_LENGTH
 
 

@@ -1,8 +1,6 @@
 """Attack-scenario replays: scenario construction across modalities,
-interleaving determinism, data-loss accounting, the end-to-end protected
-replay, and the retired-mitigation deprecation shim."""
-
-import warnings
+interleaving determinism, data-loss accounting, and the end-to-end
+protected replay."""
 
 import numpy as np
 import pytest
@@ -216,38 +214,3 @@ class TestScenarioReplay:
         assert writers
         assert all(o.write_seconds > 0 for o in writers)
         assert all(o.writes_blocked == 0 for o in outcomes.values())
-
-
-class TestMitigationShim:
-    def test_engine_and_storage_import_silently(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            from repro.ransomware.mitigation import (  # noqa: F401
-                MitigationEngine,
-                ProtectedStorage,
-            )
-
-    def test_retired_names_warn_on_module_attribute_access(self):
-        import repro.ransomware.mitigation as mitigation
-
-        with pytest.warns(DeprecationWarning, match="repro.response"):
-            mitigation.WriteBlocked
-        with pytest.warns(DeprecationWarning, match="repro.response"):
-            mitigation.QuarantineEvent
-
-    def test_shim_resolves_to_the_new_home(self):
-        import repro.ransomware.mitigation as mitigation
-        from repro.response import legacy
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert mitigation.WriteBlocked is legacy.WriteBlocked
-            assert mitigation.QuarantineEvent is legacy.QuarantineEvent
-        assert mitigation.MitigationEngine is legacy.MitigationEngine
-        assert mitigation.ProtectedStorage is legacy.ProtectedStorage
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.ransomware.mitigation as mitigation
-
-        with pytest.raises(AttributeError):
-            mitigation.NoSuchThing

@@ -237,3 +237,19 @@ class TestGeneralizeCommand:
     def test_unknown_modality_errors(self):
         with pytest.raises(ValueError, match="unknown modalities"):
             main(["generalize", "--modalities", "syscall", "--folds", "1"])
+
+    def test_workers_flag_reaches_the_config(self, monkeypatch):
+        from repro.ransomware import generalization
+
+        captured = {}
+
+        def fake_evaluate(config, telemetry=None, progress=None):
+            captured["config"] = config
+            raise SystemExit(0)
+
+        monkeypatch.setattr(
+            generalization, "evaluate_generalization", fake_evaluate
+        )
+        with pytest.raises(SystemExit):
+            main(["generalize", "--modalities", "api", "--workers", "2"])
+        assert captured["config"].workers == 2
