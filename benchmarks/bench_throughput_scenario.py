@@ -4,9 +4,10 @@ Quantifies the paper's Section I deployment claim: "data centers can
 execute the classifier continuously in the background ... without
 exhausting the CPU or consuming inordinate amounts of energy."  Reports
 the CSD's sustained window-scanning rate (compute vs P2P-ingest ceiling),
-how many busy hosts one drive can monitor, the host-simulation evaluation
-rate of the vectorised batch path, and a multi-process incident replay
-through the full detection + mitigation stack.
+how many busy hosts one drive can monitor, and the host-simulation
+evaluation rate of the vectorised batch path.  The multi-process incident
+replay (detection + drive-side enforcement) lives in
+``bench_response.py``.
 """
 
 import time
@@ -18,11 +19,6 @@ from repro.core.config import OptimizationLevel
 from repro.core.engine import engine_at_level
 from repro.core.throughput import throughput_report
 from repro.hw.smartssd import SmartSSD
-from repro.ransomware.benign import ALL_BENIGN_PROFILES
-from repro.ransomware.families import LOCKBIT
-from repro.ransomware.replay import HostReplay
-from repro.ransomware.sandbox import CuckooSandbox
-from repro.response.legacy import ProtectedStorage
 
 
 def bench_sustained_throughput(benchmark, bench_model):
@@ -83,39 +79,3 @@ def bench_host_simulation_batch_rate(benchmark, bench_model, bench_telemetry):
     record_report("Scenario: host-simulation batch evaluation rate", lines)
     assert host_rate > 100
 
-
-def bench_multi_process_incident(benchmark, bench_model):
-    """One infected process among benign neighbours, end to end."""
-    engine = engine_at_level(bench_model, OptimizationLevel.FIXED_POINT,
-                             sequence_length=100)
-    sandbox = CuckooSandbox(seed=12)
-    traces = [
-        sandbox.execute_benign(ALL_BENIGN_PROFILES[0], 0, target_length=1200),
-        sandbox.execute_ransomware(LOCKBIT, 4),
-        sandbox.execute_benign(ALL_BENIGN_PROFILES[12], 0, target_length=1200),
-        sandbox.execute_benign(ALL_BENIGN_PROFILES[20], 0, target_length=1200),
-    ]
-
-    def run():
-        replay = HostReplay(
-            engine, ProtectedStorage(SmartSSD().ssd),
-            threshold=0.7, stride=20, confirmations=3,
-        )
-        outcomes = replay.run(traces, seed=3)
-        return replay.incident_summary(outcomes), outcomes
-
-    summary, outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
-    infected = next(o for o in outcomes.values() if o.is_ransomware)
-    lines = [
-        f"processes: {len(outcomes)} (1 ransomware, "
-        f"{summary['benign_processes']} benign)",
-        f"ransomware caught: {summary['caught']}/1 "
-        f"(quarantined at interleaved step {infected.quarantined_at_step})",
-        f"false quarantines: {summary['falsely_quarantined']}",
-        f"encrypted writes blocked at the drive: {summary['writes_blocked']}",
-        f"benign writes admitted: {summary['benign_writes_admitted']}",
-    ]
-    record_report("Scenario: multi-process incident replay", lines)
-    assert summary["caught"] == 1
-    assert summary["falsely_quarantined"] == 0
-    assert summary["writes_blocked"] > 0

@@ -3,10 +3,11 @@
 
 A system housing a CSD does not see one clean trace — it sees API calls
 from dozens of processes interleaved.  This example replays an
-interleaved schedule of three benign applications and one Wannacry
-variant through the per-process detector bank, with consecutive-
-confirmation mitigation, and prints the incident timeline plus the
-drive's remaining monitoring headroom.
+interleaved schedule of sixteen benign applications (two of them
+encrypting backup tools) and one Ryuk variant through per-process
+detection, with a consecutive-confirmation policy that write-blocks an
+offending process at the drive, and prints the incident timeline plus
+the drive's remaining monitoring headroom.
 
 Run:  python examples/multi_process_monitoring.py
 """
@@ -15,10 +16,8 @@ from repro import build_dataset
 from repro.core.throughput import throughput_report
 from repro.hw.smartssd import SmartSSD
 from repro.nn import TrainingConfig
-from repro.ransomware import CuckooSandbox, ProtectedStorage, train_detector
-from repro.ransomware.benign import ALL_BENIGN_PROFILES
-from repro.ransomware.families import WANNACRY
-from repro.ransomware.replay import HostReplay
+from repro.ransomware import ScenarioReplay, build_scenario, train_detector
+from repro.response import ResponsePolicy
 
 
 def main() -> None:
@@ -32,48 +31,53 @@ def main() -> None:
     )
     engine = detector.engine
 
-    print("Spinning up the host: 3 benign apps + 1 Wannacry variant...")
-    sandbox = CuckooSandbox(seed=17)
-    traces = [
-        sandbox.execute_benign(ALL_BENIGN_PROFILES[0], 0, target_length=1500),   # editor
-        sandbox.execute_ransomware(WANNACRY, 2),
-        sandbox.execute_benign(ALL_BENIGN_PROFILES[14], 0, target_length=1500),  # backup tool
-        sandbox.execute_benign(ALL_BENIGN_PROFILES[16], 0, target_length=1500),  # KeePass
-    ]
+    print("Spinning up the host: 16 benign apps + 1 Ryuk variant...")
+    streams = build_scenario("api", ransomware=1, benign=16, seed=17,
+                             benign_length=600)
     # High-confidence, 3-consecutive-confirmations policy: a process must
     # sustain p >= 0.9 across three classified windows before the drive
     # refuses its writes.
-    replay = HostReplay(
-        engine, ProtectedStorage(SmartSSD().ssd),
-        threshold=0.9, stride=20, confirmations=3,
+    policy = ResponsePolicy(
+        write_block_threshold=0.0, quarantine_threshold=None,
+        kill_threshold=None, confirmations=3, attribute=False,
     )
-    outcomes = replay.run(traces, seed=1)
+    storage = SmartSSD()
+    replay = ScenarioReplay(engine, storage, policy=policy,
+                            monitor_threshold=0.9, stride=20)
+    outcomes = replay.run(streams, seed=1)
 
     print("\nPer-process outcome:")
     for outcome in outcomes.values():
         kind = "RANSOMWARE" if outcome.is_ransomware else "benign"
-        if outcome.quarantined_at_step is not None:
-            state = (f"QUARANTINED at step {outcome.quarantined_at_step} "
+        if outcome.enforced_at_step is not None:
+            state = (f"WRITE-BLOCKED at step {outcome.enforced_at_step} "
                      f"({outcome.writes_blocked} writes refused)")
         else:
             state = f"clean ({outcome.writes_admitted} writes admitted)"
-        print(f"  pid {outcome.process_id} {outcome.source:22s} [{kind:10s}] {state}")
+        print(f"  {outcome.name:34s} [{kind:10s}] {state}")
 
-    summary = replay.incident_summary(outcomes)
-    print(f"\nIncident summary: {summary['caught']}/{summary['ransomware_processes']} "
-          f"infections stopped, {summary['falsely_quarantined']} false quarantines, "
-          f"{summary['writes_blocked']} malicious writes blocked at the drive")
-    if summary["falsely_quarantined"]:
+    report = replay.report(outcomes)
+    falsely_blocked = [
+        o.name for o in outcomes.values()
+        if not o.is_ransomware and o.enforced_at_step is not None
+    ]
+    print(f"\nIncident summary: {report['enforced']}/{report['ransomware_streams']} "
+          f"infections stopped, {len(falsely_blocked)} benign processes blocked, "
+          f"{report['bytes_blocked']:,} malicious bytes refused at the drive")
+    if falsely_blocked:
         print("note: an *encrypting backup tool* tripping the detector is the "
               "known hard case — its bulk read-encrypt-replace loop is "
               "behaviourally identical to ransomware. Operators allowlist "
-              "such tools (ProtectedStorage.release).")
+              "such tools at the drive: "
+              + ", ".join(f'storage.set_stream_mode({name!r}, "allow")'
+                          for name in falsely_blocked))
 
-    report = throughput_report(engine, api_calls_per_second=2000, detection_stride=20)
+    headroom = throughput_report(engine, api_calls_per_second=2000,
+                                 detection_stride=20)
     print(f"\nMonitoring headroom: this CSD sustains "
-          f"{report.windows_per_second:.0f} windows/s "
-          f"({report.bottleneck}-bound) — roughly "
-          f"{report.concurrent_streams:.0f} hosts of this activity level")
+          f"{headroom.windows_per_second:.0f} windows/s "
+          f"({headroom.bottleneck}-bound) — roughly "
+          f"{headroom.concurrent_streams:.0f} hosts of this activity level")
 
 
 if __name__ == "__main__":

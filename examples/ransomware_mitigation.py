@@ -11,26 +11,29 @@ This example:
 1. trains and deploys the detector (small scale for speed);
 2. "executes" a Lockbit variant in the sandbox to get its API-call trace;
 3. replays the trace call-by-call: every NtWriteFile becomes a write to
-   the protected SmartSSD, every call feeds the streaming detector;
+   the SmartSSD attributed to the malware's stream, every call feeds the
+   streaming detector, and every verdict feeds the response engine,
+   which write-blocks the stream at the drive on the first alarm;
 4. shows the timeline — when the alarm fired, how many encrypted-file
-   writes were admitted before quarantine, and how many were refused.
+   writes were admitted before the block, and how many were refused.
 
 Run:  python examples/ransomware_mitigation.py
 """
 
 from repro import build_dataset
-from repro.hw.smartssd import SmartSSD
+from repro.hw.smartssd import SmartSSD, WriteRefused
 from repro.nn import TrainingConfig
-from repro.ransomware import (
-    CuckooSandbox,
-    MitigationEngine,
-    ProtectedStorage,
-    WriteBlocked,
-    train_detector,
-)
+from repro.ransomware import CuckooSandbox, train_detector
 from repro.ransomware.families import LOCKBIT
+from repro.response import ResponseEngine, ResponsePolicy, SmartSsdEnforcer
 
-MALWARE_PROCESS_ID = 4242
+MALWARE_STREAM = "pid-4242"
+
+#: Write-block a stream at the drive on its first positive verdict.
+BLOCK_ON_FIRST_ALARM = ResponsePolicy(
+    write_block_threshold=0.0, quarantine_threshold=None,
+    kill_threshold=None, confirmations=1, attribute=False,
+)
 
 
 def main() -> None:
@@ -48,39 +51,38 @@ def main() -> None:
     print(f"  trace: {len(trace)} API calls")
 
     device = SmartSSD()
-    storage = ProtectedStorage(device.ssd)
-    mitigation = MitigationEngine(storage)
+    responder = ResponseEngine(
+        policy=BLOCK_ON_FIRST_ALARM, enforcer=SmartSsdEnforcer(device)
+    )
 
     detector.reset()
-    alarm_index = None
     admitted, refused = 0, 0
     for index, call in enumerate(trace.calls):
         if call == "NtWriteFile":
             try:
-                storage.write(MALWARE_PROCESS_ID, f"victim-file-{index}", 64 * 1024)
+                device.stream_write(MALWARE_STREAM, f"victim-file-{index}", 64 * 1024)
                 admitted += 1
-            except WriteBlocked:
+            except WriteRefused:
                 refused += 1
         verdict = detector.observe(call)
-        if verdict is not None and mitigation.handle_verdict(MALWARE_PROCESS_ID, verdict):
-            if alarm_index is None:
-                alarm_index = index
-                print(f"  ALARM at call {index} "
-                      f"(p={verdict.probability:.3f}, "
-                      f"inference {verdict.inference_microseconds:.0f} us)")
+        if verdict is None:
+            continue
+        if responder.on_verdict(MALWARE_STREAM, verdict).escalated:
+            print(f"  ALARM at call {index} "
+                  f"(p={verdict.probability:.3f}, "
+                  f"inference {verdict.inference_microseconds:.0f} us)")
 
     total_writes = admitted + refused
     print("\nOutcome:")
     print(f"  encrypted-file writes attempted : {total_writes}")
-    print(f"  admitted before quarantine      : {admitted} "
+    print(f"  admitted before the block       : {admitted} "
           f"({admitted / total_writes:.1%})")
     print(f"  refused by the CSD              : {refused} "
           f"({refused / total_writes:.1%})")
-    summary = mitigation.summary()
-    print(f"  bytes of encryption prevented   : {summary['blocked_bytes']:,}")
+    print(f"  bytes of encryption prevented   : {device.blocked_bytes:,}")
 
     # A benign process is untouched throughout.
-    storage.write(process_id=1, key="user-document", num_bytes=4096)
+    device.stream_write("pid-1", "user-document", 4096)
     print("  benign process writes           : still admitted")
 
 

@@ -274,7 +274,7 @@ def _add_monitor_command(subparsers) -> None:
 def _run_monitor(args) -> int:
     from repro.ransomware.benign import ALL_BENIGN_PROFILES
     from repro.ransomware.monitor import ProcessMonitor
-    from repro.ransomware.replay import HostReplay
+    from repro.ransomware.replay import interleave_traces
 
     engine = CSDInferenceEngine.from_weight_file(
         args.weights, sequence_length=args.sequence_length
@@ -297,7 +297,8 @@ def _run_monitor(args) -> int:
         )
         for i in range(args.benign)
     ]
-    events = HostReplay.interleave(traces, seed=args.seed)
+    order = interleave_traces([len(trace.calls) for trace in traces],
+                              seed=args.seed)
     monitor = ProcessMonitor(
         engine, threshold=args.threshold, stride=args.stride,
         memory_budget_bytes=(args.memory_budget_kib * 1024
@@ -327,16 +328,18 @@ def _run_monitor(args) -> int:
                 first_detection[pid] = (calls_fed[pid], verdict)
         tick.clear()
 
-    for event in events:
-        if event.process_id in tick:
+    for index in order:
+        pid = 1000 + index
+        if pid in tick:
             flush()
-        tick[event.process_id] = event.call
-        calls_fed[event.process_id] = calls_fed.get(event.process_id, 0) + 1
+        fed = calls_fed.get(pid, 0)
+        tick[pid] = traces[index].calls[fed]
+        calls_fed[pid] = fed + 1
     flush()
 
     print(f"monitored {len(traces)} processes "
           f"({args.ransomware} ransomware, {args.benign} benign), "
-          f"{len(events)} interleaved calls in {ticks} batched ticks")
+          f"{len(order)} interleaved calls in {ticks} batched ticks")
     for pid in sorted(sources):
         source, is_ransomware = sources[pid]
         label = "ransomware" if is_ransomware else "benign"

@@ -1,5 +1,6 @@
 """Ransomware detection use case: vocabulary, families, sandbox, dataset,
-detector, in-CSD mitigation, and CTI-driven model updates."""
+detector, per-process monitoring and scenario replay, and CTI-driven
+model updates."""
 
 from repro.ransomware.api_vocabulary import (
     API_CATEGORIES,
@@ -51,14 +52,6 @@ from repro.ransomware.families import (
     TOTAL_VARIANTS,
     table_ii,
 )
-# The mitigation surface moved to repro.response (see docs/response.md);
-# import from the new home so the deprecation shim stays silent here.
-from repro.response.legacy import (
-    MitigationEngine,
-    ProtectedStorage,
-    QuarantineEvent,
-    WriteBlocked,
-)
 from repro.ransomware.analysis import (
     category_distribution,
     category_divergence,
@@ -67,9 +60,6 @@ from repro.ransomware.analysis import (
 )
 from repro.ransomware.monitor import ProcessMonitor
 from repro.ransomware.replay import (
-    HostReplay,
-    PerProcessDetectorBank,
-    ProcessOutcome,
     ScenarioReplay,
     ScenarioStream,
     StreamOutcome,
@@ -89,14 +79,10 @@ __all__ = [
     "BenignProfile",
     "CtiFeed",
     "CuckooSandbox",
-    "HostReplay",
-    "PerProcessDetectorBank",
-    "ProcessOutcome",
     "Dataset",
     "DetectionReport",
     "FamilyProfile",
     "MANUAL_INTERACTION",
-    "MitigationEngine",
     "ModelUpdateWorkflow",
     "Motif",
     "NOVEL_STRAIN",
@@ -107,8 +93,6 @@ __all__ = [
     "PAPER_TOTAL_SEQUENCES",
     "Phase",
     "ProcessMonitor",
-    "ProtectedStorage",
-    "QuarantineEvent",
     "RansomwareDetector",
     "ReportParseError",
     "ScenarioReplay",
@@ -119,7 +103,6 @@ __all__ = [
     "UpdateResult",
     "Verdict",
     "VOCABULARY_SIZE",
-    "WriteBlocked",
     "build_dataset",
     "build_scenario",
     "category_distribution",

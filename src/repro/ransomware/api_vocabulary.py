@@ -15,6 +15,8 @@ very different mixing ratios.
 
 from __future__ import annotations
 
+import numbers
+
 API_CATEGORIES = {
     "process": (
         "NtCreateUserProcess", "CreateProcessInternalW", "CreateProcessW",
@@ -158,3 +160,31 @@ def encode(calls) -> list:
 def decode(token_ids) -> list:
     """Map token ids back to API names."""
     return [API_NAMES[token] for token in token_ids]
+
+
+def to_token_id(call, vocabulary_size: int = VOCABULARY_SIZE) -> int:
+    """One observed call — an API name or a token id — as a checked id.
+
+    The streaming front ends run this before buffering anything, so a bad
+    call is rejected on its own and never reaches a later window.
+
+    Raises
+    ------
+    ValueError
+        If ``call`` is an unknown API name, a non-integer value (``1.9``
+        is not silently truncated to token 1), or an id outside
+        ``[0, vocabulary_size)``.
+    """
+    if isinstance(call, str):
+        token = API_TO_ID.get(call)
+        if token is None:
+            raise ValueError(f"unknown API call {call!r}")
+    elif isinstance(call, numbers.Integral):
+        token = int(call)
+    elif isinstance(call, numbers.Real) and float(call).is_integer():
+        token = int(call)
+    else:
+        raise ValueError(f"token ids must be integers, got {call!r}")
+    if not 0 <= token < vocabulary_size:
+        raise ValueError(f"token id {token} out of range [0, {vocabulary_size})")
+    return token

@@ -23,7 +23,7 @@ from repro.core.engine import CSDInferenceEngine
 from repro.core.weights import HostWeights
 from repro.nn.model import SequenceClassifier
 from repro.nn.trainer import Trainer, TrainingConfig
-from repro.ransomware.api_vocabulary import API_TO_ID
+from repro.ransomware.api_vocabulary import to_token_id
 from repro.ransomware.dataset import Dataset
 
 
@@ -86,6 +86,7 @@ class RansomwareDetector:
         self.threshold = threshold
         self.stride = stride
         self._window_length = engine.config.dimensions.sequence_length
+        self._vocabulary_size = engine.config.dimensions.vocab_size
         self._sequence_microseconds = engine.sequence_microseconds()
         self._buffer: collections.deque = collections.deque(maxlen=self._window_length)
         self._calls_seen = 0
@@ -100,10 +101,11 @@ class RansomwareDetector:
     def observe(self, api_call) -> Verdict | None:
         """Feed one API call; returns a verdict when a window was classified.
 
-        ``api_call`` may be an API name (string) or a token id.
+        ``api_call`` may be an API name (string) or a token id; a bad one
+        raises ``ValueError`` before it is buffered (see
+        :func:`~repro.ransomware.api_vocabulary.to_token_id`).
         """
-        token = API_TO_ID[api_call] if isinstance(api_call, str) else int(api_call)
-        self._buffer.append(token)
+        self._buffer.append(to_token_id(api_call, self._vocabulary_size))
         self._calls_seen += 1
         if len(self._buffer) < self._window_length:
             return None

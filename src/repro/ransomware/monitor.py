@@ -23,7 +23,7 @@ per process (the pre-sessions design), this:
 from __future__ import annotations
 
 from repro.core.sessions import SessionConfig, SessionManager
-from repro.ransomware.api_vocabulary import API_TO_ID
+from repro.ransomware.api_vocabulary import to_token_id
 from repro.ransomware.detector import Verdict
 
 
@@ -57,10 +57,7 @@ class ProcessMonitor:
             ),
         )
         self.engine = engine
-
-    @staticmethod
-    def _token(call) -> int:
-        return API_TO_ID[call] if isinstance(call, str) else int(call)
+        self._vocabulary_size = engine.config.dimensions.vocab_size
 
     @staticmethod
     def _verdict(session_verdict) -> Verdict:
@@ -72,8 +69,14 @@ class ProcessMonitor:
         )
 
     def observe(self, process_id, call) -> Verdict | None:
-        """Feed one API call (name or token id) from one process."""
-        session_verdict = self.sessions.observe(process_id, self._token(call))
+        """Feed one API call (name or token id) from one process.
+
+        A bad call raises ``ValueError`` and leaves the process's window
+        untouched (see :func:`~repro.ransomware.api_vocabulary.to_token_id`).
+        """
+        session_verdict = self.sessions.observe(
+            process_id, to_token_id(call, self._vocabulary_size)
+        )
         if session_verdict is None:
             return None
         return self._verdict(session_verdict)
@@ -85,7 +88,10 @@ class ProcessMonitor:
         streams advance through one stacked gate matmul.  Returns process
         id → :class:`Verdict` for every window completed this tick.
         """
-        tokens = {pid: self._token(call) for pid, call in calls.items()}
+        tokens = {
+            pid: to_token_id(call, self._vocabulary_size)
+            for pid, call in calls.items()
+        }
         return {
             session_verdict.session: self._verdict(session_verdict)
             for session_verdict in self.sessions.step(tokens)

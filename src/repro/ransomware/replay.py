@@ -1,24 +1,20 @@
-"""Multi-process host replay and attack-scenario replays.
+"""Attack-scenario replay: many processes writing to one protected drive.
 
 A real system housing a CSD observes an *interleaved* stream of events
 from many processes at once — benign applications doing their work with
-(possibly) one ransomware process hiding among them.  The detector must
+(possibly) ransomware processes hiding among them.  The detector must
 track a sliding window **per process** (a global window would smear the
-malicious pattern across innocent calls), and mitigation must quarantine
-only the offending process.
+malicious pattern across innocent calls), and enforcement must refuse
+only the offending process's writes.
 
-Two front ends share that machinery:
-
-* :class:`HostReplay` — the original API-call replay over
-  :class:`~repro.response.legacy.ProtectedStorage`, now driven by the
-  response policy engine (quarantine-only policy, hash-chained audit);
-* :class:`ScenarioReplay` — full attack scenarios over any of the three
-  :data:`~repro.ransomware.traces.adapters.MODALITIES`, writing real
-  payload bytes through the self-protecting
-  :class:`~repro.hw.smartssd.SmartSSD` path (copy-on-write snapshots,
-  write-blocking, restore) under a graduated
-  :class:`~repro.response.policy.ResponsePolicy`.  This is the
-  data-loss benchmark's engine (``benchmarks/bench_response.py``).
+:class:`ScenarioReplay` is that detect-to-act loop: attack scenarios over
+any of the three :data:`~repro.ransomware.traces.adapters.MODALITIES`
+feed a :class:`~repro.ransomware.monitor.ProcessMonitor`, its verdicts
+drive a :class:`~repro.response.policy.ResponseEngine` under a graduated
+:class:`~repro.response.policy.ResponsePolicy`, and every write lands
+through the self-protecting :class:`~repro.hw.smartssd.SmartSSD` path
+(copy-on-write snapshots, write-blocking, restore).  This is the
+data-loss benchmark's engine (``benchmarks/bench_response.py``).
 
 Scenario traces are synthesised with the family's masquerade prelude
 stripped (``masquerade_length=0``): the replay measures *response*
@@ -36,7 +32,6 @@ import numpy as np
 
 from repro.hw.smartssd import WriteRefused
 from repro.ransomware.benign import ALL_BENIGN_PROFILES
-from repro.ransomware.detector import Verdict
 from repro.ransomware.families import ALL_FAMILIES
 from repro.ransomware.monitor import ProcessMonitor
 from repro.ransomware.sandbox import ApiTrace, CuckooSandbox
@@ -44,7 +39,6 @@ from repro.ransomware.traces.adapters import MODALITIES
 from repro.ransomware.traces.block_io import BlockIoSynthesizer
 from repro.ransomware.traces.filesystem import FsEventSynthesizer
 from repro.response.audit import AuditLog
-from repro.response.legacy import MitigationEngine, ProtectedStorage
 from repro.response.policy import (
     ACTION_WRITE_BLOCK,
     ESCALATION_LADDER,
@@ -62,68 +56,6 @@ FS_WRITE_BYTES = 32 * 1024
 BLOCK_BYTES = 4096
 
 _RANK = {action: rank for rank, action in enumerate(ESCALATION_LADDER)}
-
-
-@dataclasses.dataclass(frozen=True)
-class ReplayEvent:
-    """One observed call in the interleaved schedule."""
-
-    step: int
-    process_id: int
-    call: str
-
-
-@dataclasses.dataclass
-class ProcessOutcome:
-    """Per-process results of a replay."""
-
-    process_id: int
-    source: str
-    is_ransomware: bool
-    calls_replayed: int = 0
-    writes_admitted: int = 0
-    writes_blocked: int = 0
-    quarantined_at_step: int | None = None
-    first_verdict: Verdict | None = None
-
-
-class PerProcessDetectorBank:
-    """One sliding window per monitored process, sharing one engine.
-
-    Backed by the streaming session subsystem
-    (:class:`~repro.ransomware.monitor.ProcessMonitor` over a
-    :class:`~repro.core.sessions.SessionManager`): each process carries
-    incremental LSTM state instead of re-running ``infer_sequence`` per
-    window, and — unlike the original one-detector-per-pid dict that
-    grew without bound — idle or excess processes are *evicted* under
-    ``memory_budget_bytes``/``idle_after_steps`` (checkpointed, counted
-    by ``repro_session_evictions_total``) and exited ones can be
-    :meth:`close`\\ d.  Verdicts are bit-exact with the recompute path.
-    """
-
-    def __init__(self, engine, threshold: float = 0.5, stride: int = 10,
-                 memory_budget_bytes: int | None = None,
-                 idle_after_steps: int | None = None):
-        self._monitor = ProcessMonitor(
-            engine, threshold=threshold, stride=stride,
-            memory_budget_bytes=memory_budget_bytes,
-            idle_after_steps=idle_after_steps,
-        )
-
-    def observe(self, process_id: int, call: str) -> Verdict | None:
-        return self._monitor.observe(process_id, call)
-
-    def close(self, process_id: int) -> None:
-        """Drop an exited process's stream state."""
-        self._monitor.close(process_id)
-
-    def stats(self) -> dict:
-        """Session-layer counters (evictions, restores, residency)."""
-        return self._monitor.stats()
-
-    @property
-    def monitored_processes(self) -> tuple:
-        return self._monitor.monitored_processes
 
 
 def interleave_traces(lengths, seed: int = 0) -> list:
@@ -144,111 +76,6 @@ def interleave_traces(lengths, seed: int = 0) -> list:
         remaining[index] -= 1
     return order
 
-
-class HostReplay:
-    """Interleaves sandbox traces and drives detection + mitigation.
-
-    Parameters
-    ----------
-    engine:
-        A loaded CSD inference engine.
-    storage:
-        The protected storage the processes write to.
-    threshold / stride:
-        Detector parameters (shared by the per-process bank).
-    """
-
-    def __init__(self, engine, storage: ProtectedStorage,
-                 threshold: float = 0.5, stride: int = 10,
-                 confirmations: int = 3,
-                 memory_budget_bytes: int | None = None,
-                 idle_after_steps: int | None = None):
-        self.bank = PerProcessDetectorBank(
-            engine, threshold, stride,
-            memory_budget_bytes=memory_budget_bytes,
-            idle_after_steps=idle_after_steps,
-        )
-        self.storage = storage
-        self.mitigation = MitigationEngine(storage, confirmations=confirmations)
-
-    @property
-    def audit(self) -> AuditLog:
-        """The hash-chained audit log behind the mitigation engine."""
-        return self.mitigation.audit
-
-    @staticmethod
-    def interleave(traces, seed: int = 0) -> list:
-        """Randomly interleave traces preserving each one's call order.
-
-        Returns a list of :class:`ReplayEvent`, with process ids assigned
-        by trace position (pid = 1000 + index).
-        """
-        cursors = [0] * len(traces)
-        events: list = []
-        order = interleave_traces([len(trace.calls) for trace in traces], seed)
-        for step, process_index in enumerate(order):
-            trace = traces[process_index]
-            call = trace.calls[cursors[process_index]]
-            events.append(ReplayEvent(step=step, process_id=1000 + process_index, call=call))
-            cursors[process_index] += 1
-        return events
-
-    def run(self, traces, seed: int = 0, write_bytes: int = API_WRITE_BYTES) -> dict:
-        """Replay interleaved traces; returns pid → :class:`ProcessOutcome`.
-
-        Every ``NtWriteFile``/``WriteFile`` in a trace becomes a storage
-        write attributed to its process; detector verdicts feed the
-        mitigation engine, which quarantines per process.
-        """
-        traces = list(traces)
-        outcomes = {
-            1000 + index: ProcessOutcome(
-                process_id=1000 + index,
-                source=trace.source,
-                is_ransomware=trace.is_ransomware,
-            )
-            for index, trace in enumerate(traces)
-        }
-        for event in self.interleave(traces, seed=seed):
-            outcome = outcomes[event.process_id]
-            outcome.calls_replayed += 1
-            if event.call in ("NtWriteFile", "WriteFile"):
-                try:
-                    self.storage.write(
-                        event.process_id, f"pid{event.process_id}-{event.step}",
-                        write_bytes,
-                    )
-                    outcome.writes_admitted += 1
-                except WriteRefused:
-                    outcome.writes_blocked += 1
-            verdict = self.bank.observe(event.process_id, event.call)
-            if verdict is None:
-                continue
-            if self.mitigation.handle_verdict(event.process_id, verdict):
-                if outcome.quarantined_at_step is None:
-                    outcome.quarantined_at_step = event.step
-                    outcome.first_verdict = verdict
-        return outcomes
-
-    def incident_summary(self, outcomes: dict) -> dict:
-        """Aggregate detection quality over a replay's outcomes."""
-        ransomware = [o for o in outcomes.values() if o.is_ransomware]
-        benign = [o for o in outcomes.values() if not o.is_ransomware]
-        caught = [o for o in ransomware if o.quarantined_at_step is not None]
-        falsely_quarantined = [o for o in benign if o.quarantined_at_step is not None]
-        return {
-            "ransomware_processes": len(ransomware),
-            "caught": len(caught),
-            "benign_processes": len(benign),
-            "falsely_quarantined": len(falsely_quarantined),
-            "writes_blocked": sum(o.writes_blocked for o in outcomes.values()),
-            "benign_writes_admitted": sum(o.writes_admitted for o in benign),
-        }
-
-
-# ----------------------------------------------------------------------
-# Attack scenarios (all three modalities)
-# ----------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioStream:

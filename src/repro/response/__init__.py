@@ -13,10 +13,7 @@ audited storage actions — see ``docs/response.md``.
 * :mod:`repro.response.policy` — the :class:`ResponsePolicy` state
   machine mapping verdict confidence to the escalation ladder
   (observe → write-block → quarantine-stream → kill → restore), with
-  destructive rungs gated behind explicit policy flags;
-* :mod:`repro.response.legacy` — the retired
-  ``MitigationEngine``/``ProtectedStorage`` surface, reimplemented on
-  this subsystem.
+  destructive rungs gated behind explicit policy flags.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from repro.response.attribution import (
     attribute_window,
 )
 from repro.response.audit import GENESIS_HASH, AuditLog, AuditRecord, AuditTamperError
-from repro.response.legacy import MitigationEngine, ProtectedStorage, QuarantineEvent
 from repro.response.policy import (
     ACTION_KILL,
     ACTION_OBSERVE,
@@ -43,9 +39,6 @@ from repro.response.policy import (
     SmartSsdEnforcer,
 )
 
-#: Legacy alias: the exception the retired ``ProtectedStorage`` raised.
-WriteBlocked = WriteRefused
-
 __all__ = [
     "ACTION_KILL",
     "ACTION_OBSERVE",
@@ -59,16 +52,12 @@ __all__ = [
     "AuditTamperError",
     "FleetResponder",
     "IntegrityError",
-    "MitigationEngine",
-    "ProtectedStorage",
-    "QuarantineEvent",
     "ResponseDecision",
     "ResponseEngine",
     "ResponsePolicy",
     "SmartSsdEnforcer",
     "TokenAttribution",
     "WindowAttribution",
-    "WriteBlocked",
     "WriteRefused",
     "attribute_window",
 ]

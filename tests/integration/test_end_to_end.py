@@ -8,17 +8,13 @@ import pytest
 from repro.core.config import EngineConfig, OptimizationLevel
 from repro.core.engine import CSDInferenceEngine, engine_at_level
 from repro.core.weights import HostWeights
-from repro.hw.smartssd import SmartSSD
+from repro.hw.smartssd import MODE_BLOCK, SmartSSD, WriteRefused
 from repro.nn.metrics import classification_report
 from repro.nn.serialization import dump_weights
 from repro.ransomware.detector import RansomwareDetector
 from repro.ransomware.families import LOCKBIT, WANNACRY
 from repro.ransomware.sandbox import CuckooSandbox
-from repro.response.legacy import (
-    MitigationEngine,
-    ProtectedStorage,
-    WriteBlocked,
-)
+from repro.response.policy import ResponseEngine, ResponsePolicy, SmartSsdEnforcer
 from tests.conftest import TEST_SEQUENCE_LENGTH
 
 
@@ -100,11 +96,18 @@ class TestDetectAndMitigate:
             sequence_length=TEST_SEQUENCE_LENGTH,
         )
         detector = RansomwareDetector(engine, stride=5)
-        storage = ProtectedStorage(SmartSSD().ssd)
-        mitigation = MitigationEngine(storage)
+        storage = SmartSSD()
+        # Write-block at the drive on the first positive verdict.
+        responder = ResponseEngine(
+            policy=ResponsePolicy(
+                write_block_threshold=0.0, quarantine_threshold=None,
+                kill_threshold=None, confirmations=1, attribute=False,
+            ),
+            enforcer=SmartSsdEnforcer(storage),
+        )
 
         trace = CuckooSandbox(seed=21).execute_ransomware(LOCKBIT, 2)
-        process_id = 1337
+        stream = "pid-1337"
         blocked_at = None
         writes_before_block = 0
         detector.reset()
@@ -112,21 +115,21 @@ class TestDetectAndMitigate:
             # The malware writes an "encrypted file" on every NtWriteFile.
             if call == "NtWriteFile":
                 try:
-                    storage.write(process_id, f"file-{index}", 4096)
+                    storage.stream_write(stream, f"file-{index}", 4096)
                     writes_before_block += 1
-                except WriteBlocked:
+                except WriteRefused:
                     blocked_at = index
                     break
             verdict = detector.observe(call)
             if verdict is not None:
-                mitigation.handle_verdict(process_id, verdict)
+                responder.on_verdict(stream, verdict)
 
         assert blocked_at is not None, "mitigation never engaged"
         # The bulk of the encryption happens after the alarm; most writes
         # must have been prevented.
         total_writes = sum(1 for c in trace.calls if c == "NtWriteFile")
         assert writes_before_block < 0.5 * total_writes
-        assert mitigation.summary()["quarantined_processes"] == 1
+        assert storage.stream_mode(stream) == MODE_BLOCK
 
     def test_detection_latency_is_microseconds(self, trained_model):
         engine = engine_at_level(

@@ -1,6 +1,5 @@
 """Integration tests: multi-process replay and sustained throughput."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import OptimizationLevel
@@ -9,9 +8,10 @@ from repro.core.throughput import ThroughputReport, throughput_report
 from repro.hw.smartssd import SmartSSD
 from repro.ransomware.benign import ALL_BENIGN_PROFILES
 from repro.ransomware.families import CERBER, LOCKY
-from repro.ransomware.replay import HostReplay, PerProcessDetectorBank, ReplayEvent
+from repro.ransomware.monitor import ProcessMonitor
+from repro.ransomware.replay import ScenarioReplay, _api_stream
 from repro.ransomware.sandbox import CuckooSandbox
-from repro.response.legacy import ProtectedStorage
+from repro.response.policy import ResponsePolicy
 from tests.conftest import TEST_SEQUENCE_LENGTH
 
 
@@ -23,51 +23,43 @@ def engine(request):
     )
 
 
-class TestInterleave:
-    def test_preserves_per_trace_order(self):
-        sandbox = CuckooSandbox(seed=1)
-        traces = [
-            sandbox.execute_benign(ALL_BENIGN_PROFILES[0], 0, target_length=300),
-            sandbox.execute_benign(ALL_BENIGN_PROFILES[1], 0, target_length=300),
-        ]
-        events = HostReplay.interleave(traces, seed=4)
-        assert len(events) == sum(len(t.calls) for t in traces)
-        for pid, trace in zip((1000, 1001), traces):
-            replayed = tuple(e.call for e in events if e.process_id == pid)
-            assert replayed == trace.calls
-
-    def test_steps_are_sequential(self):
-        sandbox = CuckooSandbox(seed=1)
-        traces = [sandbox.execute_benign(ALL_BENIGN_PROFILES[2], 0, target_length=200)]
-        events = HostReplay.interleave(traces, seed=0)
-        assert [e.step for e in events] == list(range(len(events)))
-
-    def test_deterministic_given_seed(self):
-        sandbox = CuckooSandbox(seed=1)
-        traces = [
-            sandbox.execute_benign(ALL_BENIGN_PROFILES[0], 0, target_length=200),
-            sandbox.execute_benign(ALL_BENIGN_PROFILES[3], 0, target_length=200),
-        ]
-        a = HostReplay.interleave(traces, seed=9)
-        b = HostReplay.interleave(traces, seed=9)
-        assert a == b
-
-
 class TestDetectorBank:
     def test_separate_windows_per_process(self, engine):
-        bank = PerProcessDetectorBank(engine, stride=1)
+        monitor = ProcessMonitor(engine, stride=1)
         # Alternate two processes: neither reaches a full window until it
         # has seen TEST_SEQUENCE_LENGTH of *its own* calls.
         verdicts = []
         for _ in range(TEST_SEQUENCE_LENGTH - 1):
-            verdicts.append(bank.observe(1, "NtReadFile"))
-            verdicts.append(bank.observe(2, "NtReadFile"))
+            verdicts.append(monitor.observe(1, "NtReadFile"))
+            verdicts.append(monitor.observe(2, "NtReadFile"))
         assert all(v is None for v in verdicts)
-        assert bank.observe(1, "NtReadFile") is not None
-        assert set(bank.monitored_processes) == {1, 2}
+        assert monitor.observe(1, "NtReadFile") is not None
+        assert set(monitor.monitored_processes) == {1, 2}
 
 
-class TestHostReplay:
+def replay_traces(engine, traces, seed):
+    """Replay sandbox traces against one SmartSSD; (replay, outcomes).
+
+    High-confidence threshold: enforcement should not fire on the
+    ambiguous startup region every process (benign or not) emits.  The
+    policy write-blocks a process at the drive after three consecutive
+    ``p >= 0.7`` verdicts and has no higher rung.
+    """
+    policy = ResponsePolicy(
+        observe_threshold=0.0, write_block_threshold=0.0,
+        quarantine_threshold=None, kill_threshold=None,
+        confirmations=3, attribute=False,
+    )
+    replay = ScenarioReplay(engine, SmartSSD(), policy=policy,
+                            monitor_threshold=0.7, stride=10)
+    streams = [
+        _api_stream(f"pid-{1000 + index}", trace)
+        for index, trace in enumerate(traces)
+    ]
+    return replay, replay.run(streams, seed=seed)
+
+
+class TestIncidentReplay:
     @pytest.fixture(scope="class")
     def outcomes(self, engine):
         sandbox = CuckooSandbox(seed=31)
@@ -76,33 +68,28 @@ class TestHostReplay:
             sandbox.execute_ransomware(CERBER, 1),
             sandbox.execute_benign(ALL_BENIGN_PROFILES[9], 0, target_length=800),
         ]
-        # High-confidence threshold: mitigation should not fire on the
-        # ambiguous startup region every process (benign or not) emits.
-        replay = HostReplay(
-            engine, ProtectedStorage(SmartSSD().ssd), threshold=0.7, stride=10
-        )
-        return replay, replay.run(traces, seed=5)
+        return replay_traces(engine, traces, seed=5)
 
-    def test_ransomware_process_quarantined(self, outcomes):
+    def test_ransomware_process_enforced(self, outcomes):
         _, results = outcomes
         cerber = next(o for o in results.values() if o.source == "Cerber")
-        assert cerber.quarantined_at_step is not None
+        assert cerber.enforced_at_step is not None
         assert cerber.writes_blocked > 0
 
     def test_benign_processes_untouched(self, outcomes):
         _, results = outcomes
         for outcome in results.values():
             if not outcome.is_ransomware:
-                assert outcome.quarantined_at_step is None
+                assert outcome.enforced_at_step is None
                 assert outcome.writes_blocked == 0
 
-    def test_summary_aggregates(self, outcomes):
+    def test_report_aggregates(self, outcomes):
         replay, results = outcomes
-        summary = replay.incident_summary(results)
-        assert summary["ransomware_processes"] == 1
-        assert summary["caught"] == 1
-        assert summary["falsely_quarantined"] == 0
-        assert summary["writes_blocked"] > 0
+        report = replay.report(results)
+        assert report["ransomware_streams"] == 1
+        assert report["enforced"] == 1
+        assert report["benign_writes_blocked"] == 0
+        assert report["bytes_blocked"] > 0
 
     def test_two_simultaneous_infections(self, engine):
         sandbox = CuckooSandbox(seed=8)
@@ -111,13 +98,12 @@ class TestHostReplay:
             sandbox.execute_ransomware(LOCKY, 0),
             sandbox.execute_benign(ALL_BENIGN_PROFILES[5], 0, target_length=600),
         ]
-        replay = HostReplay(
-            engine, ProtectedStorage(SmartSSD().ssd), threshold=0.7, stride=10
-        )
-        results = replay.run(traces, seed=2)
-        summary = replay.incident_summary(results)
-        assert summary["caught"] == 2
-        assert summary["falsely_quarantined"] == 0
+        replay, results = replay_traces(engine, traces, seed=2)
+        report = replay.report(results)
+        assert report["enforced"] == 2
+        assert report["benign_writes_blocked"] == 0
+        assert all(o.enforced_at_step is None
+                   for o in results.values() if not o.is_ransomware)
 
 
 class TestThroughput:

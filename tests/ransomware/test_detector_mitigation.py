@@ -1,20 +1,14 @@
-"""Tests for the streaming detector, mitigation engine, and CTI updates."""
+"""Tests for the streaming detector and CTI updates."""
 
 import numpy as np
 import pytest
 
 from repro.core.engine import CSDInferenceEngine, engine_at_level
 from repro.core.config import OptimizationLevel
-from repro.hw.ssd import NvmeSsd
 from repro.ransomware.cti import ModelUpdateWorkflow, NOVEL_STRAIN, ThreatReport
 from repro.ransomware.detector import RansomwareDetector, Verdict, train_detector
 from repro.ransomware.families import RYUK
 from repro.ransomware.sandbox import CuckooSandbox
-from repro.response.legacy import (
-    MitigationEngine,
-    ProtectedStorage,
-    WriteBlocked,
-)
 from tests.conftest import TEST_SEQUENCE_LENGTH
 
 
@@ -48,6 +42,20 @@ class TestDetectorStreaming:
         for _ in range(TEST_SEQUENCE_LENGTH):
             verdict = deployed_detector.observe(5)
         assert verdict is not None
+
+    @pytest.mark.parametrize(
+        "bad", ["NtNotAnApi", 1.9, float("nan"), "5", -1, 99999]
+    )
+    def test_bad_call_rejected_before_buffering(self, deployed_detector, bad):
+        deployed_detector.reset()
+        for _ in range(TEST_SEQUENCE_LENGTH - 1):
+            assert deployed_detector.observe("NtReadFile") is None
+        with pytest.raises(ValueError):
+            deployed_detector.observe(bad)
+        # The rejected call never entered the window, so the next valid
+        # call completes window 0 and classifies.
+        verdict = deployed_detector.observe("NtReadFile")
+        assert verdict is not None and verdict.window_index == 0
 
     def test_stride_skips_windows(self, trained_model):
         engine = engine_at_level(
@@ -112,108 +120,6 @@ class TestTrainDetectorPipeline:
         assert len(history.records) == 2
         metrics = detector.evaluate(test_split.subset(np.arange(30)))
         assert metrics["accuracy"] > 0.5
-
-
-class TestMitigation:
-    def _verdict(self, probability=0.99):
-        return Verdict(
-            window_index=7, probability=probability,
-            is_ransomware=probability >= 0.5, inference_microseconds=215.0,
-        )
-
-    def test_quarantine_blocks_writes(self):
-        storage = ProtectedStorage(NvmeSsd())
-        engine = MitigationEngine(storage)
-        storage.write(process_id=42, key="doc", num_bytes=100)
-        assert engine.handle_verdict(42, self._verdict())
-        with pytest.raises(WriteBlocked):
-            storage.write(process_id=42, key="doc2", num_bytes=100)
-        assert storage.blocked_writes == 1
-        assert storage.blocked_bytes == 100
-
-    def test_other_processes_unaffected(self):
-        storage = ProtectedStorage(NvmeSsd())
-        engine = MitigationEngine(storage)
-        engine.handle_verdict(42, self._verdict())
-        storage.write(process_id=7, key="ok", num_bytes=50)
-        assert storage.allowed_writes == 1
-
-    def test_benign_verdict_ignored(self):
-        storage = ProtectedStorage(NvmeSsd())
-        engine = MitigationEngine(storage)
-        assert not engine.handle_verdict(42, self._verdict(probability=0.1))
-        assert not storage.quarantined_processes
-
-    def test_quarantine_threshold(self):
-        storage = ProtectedStorage(NvmeSsd())
-        engine = MitigationEngine(storage, quarantine_threshold=0.9)
-        assert not engine.handle_verdict(42, self._verdict(probability=0.7))
-        assert engine.handle_verdict(42, self._verdict(probability=0.95))
-
-    def test_release(self):
-        storage = ProtectedStorage(NvmeSsd())
-        storage.quarantine(42)
-        storage.release(42)
-        storage.write(process_id=42, key="ok", num_bytes=10)
-
-    def test_duplicate_quarantine_single_event(self):
-        storage = ProtectedStorage(NvmeSsd())
-        engine = MitigationEngine(storage)
-        engine.handle_verdict(42, self._verdict())
-        engine.handle_verdict(42, self._verdict())
-        assert len(engine.events) == 1
-
-    def test_summary(self):
-        storage = ProtectedStorage(NvmeSsd())
-        engine = MitigationEngine(storage)
-        engine.handle_verdict(42, self._verdict())
-        summary = engine.summary()
-        assert summary["quarantined_processes"] == 1
-        assert summary["quarantine_events"] == 1
-
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            MitigationEngine(ProtectedStorage(NvmeSsd()), quarantine_threshold=1.0)
-
-    def test_rejects_bad_confirmations(self):
-        with pytest.raises(ValueError):
-            MitigationEngine(ProtectedStorage(NvmeSsd()), confirmations=0)
-
-    def test_confirmations_require_consecutive_positives(self):
-        storage = ProtectedStorage(NvmeSsd())
-        engine = MitigationEngine(storage, confirmations=3)
-        assert not engine.handle_verdict(42, self._verdict())
-        assert not engine.handle_verdict(42, self._verdict())
-        assert engine.handle_verdict(42, self._verdict())
-        assert 42 in storage.quarantined_processes
-
-    def test_negative_verdict_resets_streak(self):
-        storage = ProtectedStorage(NvmeSsd())
-        engine = MitigationEngine(storage, confirmations=2)
-        engine.handle_verdict(42, self._verdict())
-        engine.handle_verdict(42, self._verdict(probability=0.1))  # reset
-        assert not engine.handle_verdict(42, self._verdict())
-        assert 42 not in storage.quarantined_processes
-        assert engine.handle_verdict(42, self._verdict())
-
-    def test_streaks_are_per_process(self):
-        storage = ProtectedStorage(NvmeSsd())
-        engine = MitigationEngine(storage, confirmations=2)
-        engine.handle_verdict(1, self._verdict())
-        engine.handle_verdict(2, self._verdict())
-        # Neither process has two consecutive positives yet.
-        assert not storage.quarantined_processes
-        assert engine.handle_verdict(1, self._verdict())
-        assert 2 not in storage.quarantined_processes
-
-    def test_quarantined_process_stays_quarantined_after_negative(self):
-        storage = ProtectedStorage(NvmeSsd())
-        engine = MitigationEngine(storage)
-        engine.handle_verdict(42, self._verdict())
-        # A later benign-looking window must not lift the quarantine.
-        still = engine.handle_verdict(42, self._verdict(probability=0.1))
-        assert still
-        assert 42 in storage.quarantined_processes
 
 
 class TestCtiWorkflow:

@@ -12,7 +12,6 @@ from repro.nn.model import SequenceClassifier
 from repro.ransomware.api_vocabulary import API_NAMES, API_TO_ID
 from repro.ransomware.detector import RansomwareDetector, Verdict
 from repro.ransomware.monitor import ProcessMonitor
-from repro.ransomware.replay import PerProcessDetectorBank
 
 WINDOW = 12
 
@@ -26,6 +25,10 @@ def engine():
         optimization=OptimizationLevel.FIXED_POINT,
     )
     return CSDInferenceEngine(config, _WEIGHTS)
+
+
+#: An unknown API name, non-integer ids, and out-of-range ids.
+BAD_CALLS = ["NtNotAnApi", 1.9, float("nan"), "5", -1, 99999]
 
 
 def random_calls(seed: int, count: int) -> list:
@@ -72,6 +75,22 @@ class TestObserve:
             want = [v for v in (solo.observe(pid, c) for c in calls) if v]
             assert collected[pid] == want
 
+    @pytest.mark.parametrize("bad", BAD_CALLS)
+    def test_bad_call_rejected_alone(self, engine, bad):
+        """A bad call raises on its own and never enters the window."""
+        calls = random_calls(11, WINDOW)
+        clean = ProcessMonitor(engine, stride=1)
+        want = [clean.observe(1, call) for call in calls][-1]
+        monitor = ProcessMonitor(engine, stride=1)
+        for call in calls[:-1]:
+            assert monitor.observe(1, call) is None
+        with pytest.raises(ValueError):
+            monitor.observe(1, bad)
+        with pytest.raises(ValueError):
+            monitor.observe_tick({2: calls[0], 1: bad})
+        # A valid call after the rejected ones still classifies, bit-exact.
+        assert monitor.observe(1, calls[-1]) == want
+
 
 class TestLifecycle:
     def test_close_frees_process_state(self, engine):
@@ -96,23 +115,14 @@ class TestLifecycle:
 class TestDetectorBank:
     def test_bank_growth_is_bounded_by_budget(self, engine):
         """The unbounded per-process growth fix: residency stays capped."""
-        probe = PerProcessDetectorBank(engine, stride=WINDOW)
-        per_session = probe._monitor.sessions.session_bytes
-        bank = PerProcessDetectorBank(
+        probe = ProcessMonitor(engine, stride=WINDOW)
+        per_session = probe.sessions.session_bytes
+        monitor = ProcessMonitor(
             engine, stride=WINDOW, memory_budget_bytes=16 * per_session
         )
         for pid in range(200):
-            bank.observe(pid, "NtWriteFile")
-        stats = bank.stats()
+            monitor.observe(pid, "NtWriteFile")
+        stats = monitor.stats()
         assert stats["resident_sessions"] <= 16
         assert stats["evictions"]["lru"] == 200 - stats["resident_sessions"]
-        assert len(bank.monitored_processes) == 200  # evicted, not forgotten
-
-    def test_bank_close_drops_exited_process(self, engine):
-        bank = PerProcessDetectorBank(engine, stride=1)
-        bank.observe(1, "NtWriteFile")
-        bank.observe(2, "NtReadFile")
-        assert set(bank.monitored_processes) == {1, 2}
-        bank.close(1)
-        assert set(bank.monitored_processes) == {2}
-        assert bank.stats()["evictions"]["closed"] == 1
+        assert len(monitor.monitored_processes) == 200  # evicted, not forgotten

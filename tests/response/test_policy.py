@@ -105,8 +105,11 @@ class TestEscalation:
         engine.on_verdict("p", v(0, 0.9))
         engine.on_verdict("p", v(1, 0.9))
         assert engine.action_of("p") == ACTION_QUARANTINE
-        # A later, weaker confirmed verdict never de-escalates.
+        # A later, weaker confirmed verdict never de-escalates, and neither
+        # does a benign one.
         engine.on_verdict("p", v(2, 0.65))
+        assert engine.action_of("p") == ACTION_QUARANTINE
+        engine.on_verdict("p", v(3, 0.1, is_ransomware=False))
         assert engine.action_of("p") == ACTION_QUARANTINE
 
     def test_intermediate_rungs_applied_on_a_jump(self):
