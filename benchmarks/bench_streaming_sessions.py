@@ -349,7 +349,7 @@ def main(argv=None) -> int:
     parser.add_argument("--assert-backend-speedup-if-accelerated", type=float,
                         default=None, metavar="X",
                         help="like --assert-backend-speedup, but enforced "
-                             "only when a compiled tier (numba/cc) is "
+                             "only when the compiled tier (cc) is "
                              "active; on the pure-NumPy fallback the run "
                              "must still be bit-exact but speed is not "
                              "gated (the graceful-degradation contract)")

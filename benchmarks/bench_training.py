@@ -8,7 +8,7 @@ backends (the registry's core contract), and writes
 ``BENCH_training.json`` (seconds, batches/sec, speedup, accel tier).
 
 The speedup is honest about the host: on a machine with a working C
-toolchain (or numba) the fused backend runs its compiled step loops and
+toolchain the fused backend runs its compiled step loops and
 the ``--assert-backend-speedup-if-accelerated`` gate applies; on a
 NumPy-only host it falls back to the vectorised rung (counted in
 ``repro_train_backend_fallback_total``) and the gate is skipped.
@@ -171,7 +171,7 @@ def main(argv=None) -> int:
                         type=float, default=None, metavar="X",
                         help="exit non-zero unless the fused backend "
                              "reaches X times the reference rate — only "
-                             "enforced when a compiled tier (cc/numba) "
+                             "enforced when the compiled tier (cc) "
                              "actually built on this host")
     parser.add_argument("--output", default=DEFAULT_OUTPUT,
                         help=f"JSON result path (default {DEFAULT_OUTPUT})")

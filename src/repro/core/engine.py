@@ -305,7 +305,7 @@ class CSDInferenceEngine:
 
         Selected by ``config.backend`` from the registry in
         :mod:`repro.core.kernels.backends`.  Resolution may itself
-        degrade (missing numba, unsafe bounds); the returned backend's
+        degrade (no compiler, unsafe bounds); the returned backend's
         ``fallback_reasons`` records why.  Rebuilt after
         :meth:`load_weights` since the fused math bakes the weights in.
         """

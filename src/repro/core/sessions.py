@@ -42,6 +42,7 @@ import math
 import numpy as np
 
 from repro.core.config import EngineConfig
+from repro.core.engine import _token_array
 from repro.core.kernels.backends import (
     FALLBACK_OVERFLOW_GUARD,
     FusedOverflow,
@@ -707,6 +708,7 @@ class SessionManager:
         engine._require_loaded()
         dims = engine.config.dimensions
         self.window_length = dims.sequence_length
+        self._vocab_size = dims.vocab_size
         self.ring_capacity = math.ceil(self.window_length / self.config.stride)
         self._hidden_size = dims.hidden_size
         self._dtype = (
@@ -969,16 +971,23 @@ class SessionManager:
         list
             :class:`SessionVerdict` for every window completed this tick,
             in row order.
+
+        Raises
+        ------
+        ValueError
+            if any token id is not an integer in ``[0, vocab_size)``; the
+            whole tick is rejected before any session state changes.
         """
+        token_ids = self._token_ids(tokens)
         self._tick += 1
         stepped: list = []
-        for key, token in tokens.items():
+        for key, token in zip(tokens, token_ids):
             session = self._activate(key)
             self._tokens += 1
             if session.flagged and self.config.early_exit:
                 self._tokens_dropped += 1
                 continue
-            stepped.append((session, int(token)))
+            stepped.append((session, token))
 
         try:
             rows, completions = self._stepper.step_rows(stepped)
@@ -996,6 +1005,17 @@ class SessionManager:
         self._enforce_budget()
         self._emit_step_telemetry(len(stepped), rows, len(verdicts))
         return verdicts
+
+    def _token_ids(self, tokens) -> list:
+        """The tick's token ids as ints, validated together in one pass."""
+        ids = _token_array(list(tokens.values()))
+        out_of_range = (ids < 0) | (ids >= self._vocab_size)
+        if out_of_range.any():
+            raise ValueError(
+                f"token id {int(ids[out_of_range][0])} out of range "
+                f"[0, {self._vocab_size})"
+            )
+        return ids.tolist()
 
     def _complete_window(self, session: StreamSession, slot: _WindowSlot,
                          probability: float) -> SessionVerdict:

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from repro.core import sessions as sessions_mod
+from repro.core.kernels import backends as backends_mod
 from repro.core.config import EngineConfig, OptimizationLevel
 from repro.core.engine import CSDInferenceEngine
 from repro.core.kernels.backends import (
     DEFAULT_BACKEND,
+    FALLBACK_JIT_ERROR,
     FALLBACK_OVERFLOW_GUARD,
     METRIC_FALLBACK,
     METRIC_TICKS,
@@ -35,17 +37,21 @@ _WEIGHTS = HostWeights.from_model(SequenceClassifier(seed=7))
 _ENGINES: dict = {}
 
 
+def new_engine(level, backend=DEFAULT_BACKEND) -> CSDInferenceEngine:
+    config = EngineConfig(
+        dimensions=dataclasses.replace(
+            _WEIGHTS.dimensions, sequence_length=WINDOW
+        ),
+        optimization=level,
+        backend=backend,
+    )
+    return CSDInferenceEngine(config, _WEIGHTS)
+
+
 def engine_for(level, backend=DEFAULT_BACKEND) -> CSDInferenceEngine:
     engine = _ENGINES.get((level, backend))
     if engine is None:
-        config = EngineConfig(
-            dimensions=dataclasses.replace(
-                _WEIGHTS.dimensions, sequence_length=WINDOW
-            ),
-            optimization=level,
-            backend=backend,
-        )
-        engine = CSDInferenceEngine(config, _WEIGHTS)
+        engine = new_engine(level, backend)
         _ENGINES[(level, backend)] = engine
     return engine
 
@@ -82,7 +88,7 @@ class TestRegistry:
         backend = engine_for(
             OptimizationLevel.FIXED_POINT, backend="fused"
         ).step_backend
-        assert backend.accel_tier in (None, "numba", "cc")
+        assert backend.accel_tier in (None, "cc")
 
 
 class TestInferenceParity:
@@ -98,14 +104,7 @@ class TestInferenceParity:
         """With the compiled step disabled, the vectorised-NumPy fused
         path must still match the reference bit for bit."""
         level = OptimizationLevel.FIXED_POINT
-        config = EngineConfig(
-            dimensions=dataclasses.replace(
-                _WEIGHTS.dimensions, sequence_length=WINDOW
-            ),
-            optimization=level,
-            backend="fused",
-        )
-        engine = CSDInferenceEngine(config, _WEIGHTS)
+        engine = new_engine(level, backend="fused")
         if engine.step_backend._math is not None:
             engine.step_backend._math.disable_jit()
         rng = np.random.default_rng(19)
@@ -180,6 +179,32 @@ class TestSessionParity:
 
 
 class TestDegradation:
+    def test_broken_compiled_step_is_caught_at_build_time(self, monkeypatch):
+        """A compiled step producing wrong bits is rejected by the
+        build-time self-check (counted as ``jit_error``) and the NumPy
+        rung takes over: inference output never changes."""
+
+        def broken(pre, bias, c, out_h, out_c):
+            out_h.fill(0.0)
+            out_c.fill(0.0)
+            return 0.0
+
+        monkeypatch.setattr(
+            backends_mod, "_cc_step", lambda hidden, scale, eps: broken
+        )
+        level = OptimizationLevel.FIXED_POINT
+        engine = new_engine(level, backend="fused")
+        backend = engine.step_backend
+        assert backend.accel_tier is None
+        assert backend.fallback_reasons == {FALLBACK_JIT_ERROR: 1}
+        assert backend.accelerates_inference()
+        rng = np.random.default_rng(41)
+        batch = rng.integers(0, VOCAB, size=(6, WINDOW))
+        np.testing.assert_array_equal(
+            engine.infer_batch(batch).probabilities,
+            engine_for(level).infer_batch(batch).probabilities,
+        )
+
     def test_mid_run_overflow_degrades_to_reference(self, monkeypatch):
         """An injected ``FusedOverflow`` mid-stream converts state to the
         reference stepper exactly: the verdict stream is unchanged and

@@ -430,6 +430,36 @@ class TestLifecycle:
             SessionConfig(idle_after_steps=0)
 
 
+class TestTokenValidation:
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    @pytest.mark.parametrize(
+        "bad", [1.9, float("nan"), -1, "vocab_size", "5"],
+        ids=["fraction", "nan", "negative", "vocab_size", "string"],
+    )
+    def test_bad_token_rejects_the_tick_untouched(self, bad, backend):
+        """A bad id anywhere in a tick raises before any stream moves:
+        every stream's verdicts and the manager's stats match a run that
+        never saw the tick."""
+        engine = engine_for(OptimizationLevel.FIXED_POINT)
+        if bad == "vocab_size":
+            bad = engine.config.dimensions.vocab_size
+        rng = np.random.default_rng(47)
+        tokens = rng.integers(0, VOCAB, size=(2, 3 * WINDOW))
+        config = SessionConfig(stride=3)
+        clean = SessionManager(engine, config, backend=backend)
+        probed = SessionManager(engine, config, backend=backend)
+        want, got = [], []
+        for tick in range(tokens.shape[1]):
+            batch = {"a": int(tokens[0, tick]), "b": int(tokens[1, tick])}
+            if tick == WINDOW + 1:
+                with pytest.raises(ValueError):
+                    probed.step({"a": bad, "b": batch["b"]})
+            want.extend(clean.step(batch))
+            got.extend(probed.step(batch))
+        assert want and got == want
+        assert probed.stats() == clean.stats()
+
+
 class TestTelemetry:
     def test_session_metrics_and_step_span(self):
         from repro.telemetry import Telemetry

@@ -3,7 +3,7 @@
 The fused backend's whole value proposition is "faster and *identical*":
 every loss, every gradient array, and every full training trajectory must
 match the reference path bit for bit, on every shape hypothesis can dream
-up.  The degradation ladder (numba -> C -> NumPy -> reference) must be
+up.  The degradation ladder (C -> NumPy -> reference) must be
 observable through ``repro_train_backend_fallback_total`` and never
 change a single number.
 """
@@ -150,9 +150,7 @@ class TestFusedParity:
     def test_numpy_rung_parity(self, monkeypatch):
         """With every compiled tier disabled, the fused NumPy formulation
         still matches the reference bitwise (and stays on the fused path)."""
-        monkeypatch.setattr(
-            kernels, "_build_train_steps", lambda hidden: (None, None, None)
-        )
+        monkeypatch.setattr(kernels, "_cc_train_steps", lambda hidden: None)
         model = _model(seed=11)
         fused = resolve_training_backend("fused", model)
         assert fused.accel_tier is None
@@ -197,9 +195,8 @@ class TestDegradation:
             arrays[8].fill(0.0)  # d_pre: defined but wrong
 
         monkeypatch.setattr(
-            kernels, "_build_train_steps",
-            lambda hidden: (kernels._TrainSteps(fwd=broken_fwd, bwd=inert_bwd),
-                            None, "cc"),
+            kernels, "_cc_train_steps",
+            lambda hidden: kernels._TrainSteps(fwd=broken_fwd, bwd=inert_bwd),
         )
         fused = resolve_training_backend("fused", _model(seed=7))
         assert fused.accel_tier is None
