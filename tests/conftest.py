@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tests.reference import (
     REFERENCE_SEQUENCE_LENGTH,
@@ -20,6 +21,11 @@ from tests.reference import (
 #: Kept as the historical name; the value lives in ``tests.reference``
 #: because the golden-score tooling must use the identical recipe.
 TEST_SEQUENCE_LENGTH = REFERENCE_SEQUENCE_LENGTH
+
+#: Opt-in soak profile (``--hypothesis-profile=long``).  Tests with their
+#: own ``max_examples`` keep it; the generated-schedule parity test in
+#: ``tests/core/test_session_schedules.py`` draws this many schedules.
+settings.register_profile("long", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(scope="session")
