@@ -1,26 +1,25 @@
 """Kernel execution backends: the ``reference``/``fused`` registry.
 
-The per-tick cost of the streaming session layer is dominated not by
-arithmetic but by Python dispatch: building per-slot row lists, stacking
-them, and calling three kernels per tick (``SessionManager.step``).  This
-module gives the engine pluggable *execution backends* for that hot path:
+The streaming session layer steps every open window of a tick through
+one LSTM step (``SessionManager.step``, via one
+:class:`~repro.core.sessions.SessionStepper` over one slot arena).  This
+module gives the engine pluggable *execution backends* for the math of
+that step and of whole-batch inference:
 
-* ``reference`` — the existing NumPy kernels, invoked exactly as before.
-  It is the bit-exactness oracle: every other backend must reproduce its
-  results bit for bit at every :class:`~repro.core.config.OptimizationLevel`.
+* ``reference`` — the per-kernel NumPy pipeline (``preprocess``,
+  ``gates``, ``hidden_state``).  It is the bit-exactness oracle and the
+  HLS timing model: every other backend must reproduce its results bit
+  for bit at every :class:`~repro.core.config.OptimizationLevel`.
 * ``fused`` — one precompiled step per tick.  At ``FIXED_POINT`` the
-  embedding lookup, stacked gate matmul, rescale, PLAN sigmoid/softsign
-  activations, cell/hidden update, and FC head all execute as a single
-  fused pass over ``(N, H)`` float64 state arrays held in a persistent
-  slot arena — no per-slot Python, no row stacking, no int64
-  temporaries.  The element-wise chain is a small C kernel built once
-  per model shape through the shared compile ladder in
-  :mod:`repro.accel`; without a compiler it runs as a vectorised NumPy
-  formulation of the same arithmetic (still fused, still bit-exact).
-  The float levels keep the reference kernels for the math (their
-  ``np.sum`` pairwise reduction is the batch-stability contract) but
-  still benefit from the fused session stepper's persistent arena and
-  roster caching.
+  stacked gate matmul, rescale, PLAN sigmoid/softsign activations,
+  cell/hidden update, and FC head all execute as a single fused pass
+  over ``(N, H)`` float64 state rows — no int64 temporaries.  The
+  element-wise chain is a small C kernel built once per model shape
+  through the shared compile ladder in :mod:`repro.accel`; without a
+  compiler it runs as a vectorised NumPy formulation of the same
+  arithmetic (still fused, still bit-exact).  The float levels keep the
+  reference kernels for the math: their ``np.sum`` pairwise reduction
+  is the batch-stability contract.
 
 Why float64 carriers are exact here
 -----------------------------------
@@ -57,8 +56,9 @@ Fallback reasons
     the build-time probe found a mismatch vs the reference kernels on
     this host; reference math.
 ``overflow_guard``
-    a state magnitude crossed the runtime guard mid-run; the session
-    manager converts its state and continues on reference math.
+    a state magnitude crossed the runtime guard, mid-tick or in a
+    restored checkpoint; that session manager casts its slot arena to
+    the external dtype once and continues on reference math.
 
 See ``docs/performance.md`` ("The kernel backend registry") and
 ``docs/observability.md`` for the metric contract.
@@ -165,9 +165,16 @@ class KernelBackend:
         """Probabilities for an ``(N, T, E)`` embedded batch (fused only)."""
         raise NotImplementedError(f"{self.name} does not accelerate inference")
 
+    @property
+    def fused_math(self):
+        """The fused fixed-point step, or ``None`` (reference kernels)."""
+        return None
+
     def session_stepper(self, manager):
-        """Build this backend's per-tick stepper for ``manager``."""
-        raise NotImplementedError
+        """Build the per-tick stepper for ``manager`` over this backend's math."""
+        from repro.core.sessions import SessionStepper
+
+        return SessionStepper(manager, self.fused_math)
 
 
 # ----------------------------------------------------------------------
@@ -580,26 +587,20 @@ def _self_check(engine, math_impl: _FusedFixedMath) -> None:
 
 
 class ReferenceBackend(KernelBackend):
-    """The existing NumPy kernels, exactly as the session layer shipped."""
+    """The per-kernel NumPy pipeline: the parity oracle and the HLS model."""
 
     name = "reference"
 
-    def session_stepper(self, manager):
-        from repro.core.sessions import ReferenceStepper
-
-        return ReferenceStepper(manager)
-
 
 class FusedBackend(KernelBackend):
-    """One precompiled step per tick over a persistent slot arena.
+    """One precompiled step per tick.
 
     At ``FIXED_POINT`` the math is the fused float64 pass (bit-exact by
     static bounds + build-time self-check + runtime cell guard).  At the
     float levels the reference kernels keep doing the math — their
-    pairwise-sum reduction *is* the batch-stability contract — while the
-    fused session stepper still eliminates the per-tick Python slot
-    bookkeeping.  Any exactness obstacle degrades to reference behaviour
-    in-process and is counted in ``repro_backend_fallback_total``.
+    pairwise-sum reduction *is* the batch-stability contract.  Any
+    exactness obstacle degrades to reference behaviour in-process and is
+    counted in ``repro_backend_fallback_total``.
     """
 
     name = "fused"
@@ -609,7 +610,7 @@ class FusedBackend(KernelBackend):
         self._math: _FusedFixedMath | None = None
         self.degraded_reason: str | None = None
         if not engine.config.optimization.uses_fixed_point:
-            return  # float levels: fused stepper, reference math
+            return  # float levels: reference math
         try:
             math_impl = _FusedFixedMath(engine)
         except FusedUnavailable as unavailable:
@@ -664,14 +665,6 @@ class FusedBackend(KernelBackend):
         for step in range(steps):
             h, c = math_impl.step_rows(h, c, embedded[:, step, :])
         return math_impl.classify_rows(h)
-
-    def session_stepper(self, manager):
-        from repro.core.sessions import FusedStepper, ReferenceStepper
-
-        if self.engine.config.optimization.uses_fixed_point and self._math is None:
-            # Degraded at build: behave as reference end to end.
-            return ReferenceStepper(manager)
-        return FusedStepper(manager, self)
 
 
 register_backend(ReferenceBackend.name, ReferenceBackend)

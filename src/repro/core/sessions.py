@@ -7,30 +7,29 @@ over the whole window at every stride gives O(window) recompute *bursts*
 per verdict and no way to batch across streams.  This module is the
 online-serving answer:
 
-* :class:`StreamSession` carries the LSTM ``(h, C)`` state **per token**,
-  with a rotating ring of partial window states — one per overlapping
-  stride window — so each arriving token advances every open window by a
-  single step and the per-token cost is smooth instead of bursty.
+* :class:`StreamSession` is one stream's record: its counters and a
+  rotating ring of partial windows — one per overlapping stride window —
+  so each arriving token advances every open window by a single step and
+  the per-token cost is smooth instead of bursty.
 * :class:`SessionManager` steps *many* sessions per tick through one
   stacked batched gate matmul, so kernel-invocation overhead amortises
-  across all streams and all ring slots; it enforces a memory budget via
-  LRU/idle eviction with checkpoint/restore of evicted session state
+  across all streams and all open windows; it enforces a memory budget
+  via LRU/idle eviction with checkpoint/restore of evicted session state
   (checkpoint bytes are budgeted too, see ``checkpoint_budget_bytes``),
   and emits a verdict the moment a window completes (optionally
   early-exiting flagged streams).
 
-How each tick executes is delegated to the engine's **kernel backend**
-(:mod:`repro.core.kernels.backends`): the ``reference`` backend invokes
-the NumPy kernels exactly as this module always has, while the ``fused``
-backend keeps all slot state in a persistent preallocated arena, caches
-the row roster between structural changes (window opens/closes,
-evictions), and — at ``FIXED_POINT`` — runs the whole step as one fused
-pass.  Every backend is **bit-exact** with ``infer_sequence`` on the
-same window at every :class:`~repro.core.config.OptimizationLevel`: a
-window stepped token by token inside an arbitrary batch of other
-sessions produces the identical probability to a fresh full-window
-recompute.  See ``docs/streaming.md`` for the lifecycle and semantics
-and ``docs/performance.md`` for the backend registry.
+Every open window's ``(h, C)`` state is a row of one slot arena, stepped
+by one :class:`SessionStepper`.  The engine's **kernel backend**
+(:mod:`repro.core.kernels.backends`) decides only the math: the
+``reference`` backend runs the NumPy kernels, while the ``fused``
+backend at ``FIXED_POINT`` runs the whole step as one fused pass.
+Every backend is **bit-exact** with ``infer_sequence`` on the same
+window at every :class:`~repro.core.config.OptimizationLevel`: a window
+stepped token by token inside an arbitrary batch of other sessions
+produces the identical probability to a fresh full-window recompute.
+See ``docs/streaming.md`` for the lifecycle and semantics and
+``docs/performance.md`` for the backend registry.
 """
 
 from __future__ import annotations
@@ -161,513 +160,206 @@ class SessionCheckpoint:
 
     @property
     def nbytes(self) -> int:
-        """Approximate retained size (state arrays + bookkeeping)."""
-        state = sum(
-            np.asarray(hidden).nbytes + np.asarray(cell).nbytes
-            for _, _, hidden, cell in self.slots
-        )
-        return SESSION_OVERHEAD_BYTES + state
+        """Approximate retained size (state arrays + bookkeeping).
 
-
-class _WindowSlot:
-    """One partial window: its start index, fill count, and LSTM state.
-
-    ``hidden``/``cell`` are either owned arrays (plain store) or views
-    into the backend's slot arena (``col`` is then the arena row).
-    """
-
-    __slots__ = ("start", "filled", "hidden", "cell", "col")
-
-    def __init__(self, start: int, hidden: np.ndarray, cell: np.ndarray,
-                 filled: int = 0, col: int | None = None):
-        self.start = start
-        self.filled = filled
-        self.hidden = hidden
-        self.cell = cell
-        self.col = col
-
-
-class _PlainSlotStore:
-    """Per-slot owned arrays in the engine's external dtype (reference)."""
-
-    def __init__(self, hidden_size: int, dtype):
-        self.hidden_size = hidden_size
-        self.dtype = dtype
-
-    def new_slot(self, start: int) -> _WindowSlot:
-        return _WindowSlot(
-            start,
-            np.zeros(self.hidden_size, dtype=self.dtype),
-            np.zeros(self.hidden_size, dtype=self.dtype),
-        )
-
-    def adopt_slots(self, entries) -> list:
-        return [
-            _WindowSlot(start, np.array(hidden, dtype=self.dtype),
-                        np.array(cell, dtype=self.dtype), filled=filled)
-            for start, filled, hidden, cell in entries
-        ]
-
-    def release_slot(self, slot: _WindowSlot) -> None:
-        pass
-
-
-class _ArenaSlotStore:
-    """Slot state packed into persistent ``(capacity, H)`` float64 arrays.
-
-    Slots hold *views* into arena rows, so checkpoint/export code reads
-    them exactly like owned arrays; the fused stepper gathers/scatters
-    whole row batches by arena index instead of stacking Python lists.
-    When ``hidden_limit`` is set (fixed-point), values outside the
-    float64 exactness envelope are refused at write time with
-    :class:`~repro.core.kernels.backends.FusedOverflow` so the manager
-    can degrade instead of silently losing precision.
-    """
-
-    def __init__(self, hidden_size: int, dtype, hidden_limit: float | None,
-                 cell_limit: float | None, capacity: int = 64):
-        self.hidden_size = hidden_size
-        self.dtype = dtype  # external/checkpoint dtype, not the arena's
-        self.hidden_limit = hidden_limit
-        self.cell_limit = cell_limit
-        self.h = np.zeros((capacity, hidden_size), dtype=np.float64)
-        self.c = np.zeros((capacity, hidden_size), dtype=np.float64)
-        self._free = list(range(capacity - 1, -1, -1))
-        self.grow_hook = None  # rebinds live slot views after a resize
-
-    def _alloc(self) -> int:
-        if not self._free:
-            self._grow()
-        return self._free.pop()
-
-    def _grow(self) -> None:
-        capacity = self.h.shape[0]
-        new_h = np.zeros((capacity * 2, self.hidden_size), dtype=np.float64)
-        new_c = np.zeros_like(new_h)
-        new_h[:capacity] = self.h
-        new_c[:capacity] = self.c
-        self.h, self.c = new_h, new_c
-        self._free.extend(range(capacity * 2 - 1, capacity - 1, -1))
-        if self.grow_hook is not None:
-            self.grow_hook()
-
-    def new_slot(self, start: int) -> _WindowSlot:
-        col = self._alloc()
-        self.h[col] = 0.0
-        self.c[col] = 0.0
-        return _WindowSlot(start, self.h[col], self.c[col], col=col)
-
-    def adopt_slots(self, entries) -> list:
-        adopted: list = []
-        try:
-            for start, filled, hidden, cell in entries:
-                h = np.asarray(hidden, dtype=np.float64)
-                c = np.asarray(cell, dtype=np.float64)
-                if self.hidden_limit is not None and (
-                    float(np.max(np.abs(h), initial=0.0)) > self.hidden_limit
-                    or float(np.max(np.abs(c), initial=0.0)) > self.cell_limit
-                ):
-                    raise FusedOverflow
-                col = self._alloc()
-                self.h[col] = h
-                self.c[col] = c
-                adopted.append(
-                    _WindowSlot(start, self.h[col], self.c[col],
-                                filled=filled, col=col)
-                )
-        except FusedOverflow:
-            for slot in adopted:
-                self.release_slot(slot)
-            raise
-        return adopted
-
-    def release_slot(self, slot: _WindowSlot) -> None:
-        if slot.col is not None:
-            self._free.append(slot.col)
-            slot.col = None
+        Every slot holds same-shaped vectors, so the first one sizes all.
+        """
+        if not self.slots:
+            return SESSION_OVERHEAD_BYTES
+        _, _, hidden, cell = self.slots[0]
+        per_slot = np.asarray(hidden).nbytes + np.asarray(cell).nbytes
+        return SESSION_OVERHEAD_BYTES + len(self.slots) * per_slot
 
 
 class StreamSession:
-    """Incremental per-stream detection state.
+    """One stream's record: its counters and its open windows.
 
-    Holds a rotating ring of :class:`_WindowSlot` partial windows.  A new
-    slot opens whenever ``calls_seen % stride == 0`` (the same window
-    positions the recompute detector classifies); every arriving token
-    advances all open slots by one LSTM step; a slot whose fill count
-    reaches the window length is classified and closed.  At most
-    ``ceil(window_length / stride)`` slots are ever open, which bounds
-    the session's state to a fixed number of ``(h, C)`` vector pairs.
-
-    Slot state lives in the manager's backend store (owned arrays for
-    ``reference``, arena views for ``fused``).  Sessions are driven by a
-    :class:`SessionManager`; they are not stepped directly.
+    ``rows`` are the open windows' rows in the manager's slot arena and
+    ``starts`` their start positions, both oldest first.  A window opens
+    whenever ``calls_seen % stride == 0`` (the same window positions the
+    recompute detector classifies), every arriving token advances all
+    open windows by one LSTM step, and a window whose fill
+    ``calls_seen - start`` reaches the window length is classified and
+    closed.  At most ``ceil(window_length / stride)`` windows are ever
+    open, which bounds a stream's state to a fixed number of ``(h, C)``
+    vector pairs.  Sessions are driven by a :class:`SessionManager`;
+    they are not stepped directly.
     """
 
     __slots__ = ("key", "calls_seen", "flagged", "windows_classified",
-                 "slots", "last_used_tick", "_store")
+                 "last_used_tick", "rows", "starts")
 
-    def __init__(self, key, store):
+    def __init__(self, key):
         self.key = key
         self.calls_seen = 0
         self.flagged = False
         self.windows_classified = 0
-        self.slots: list = []
         self.last_used_tick = 0
-        self._store = store
-
-    def open_slot(self) -> _WindowSlot:
-        """Open a zero-state partial window starting at ``calls_seen``."""
-        slot = self._store.new_slot(self.calls_seen)
-        self.slots.append(slot)
-        return slot
-
-    def close_slot(self, slot: _WindowSlot) -> None:
-        self.slots.remove(slot)
-        self._store.release_slot(slot)
-
-    def release_slots(self) -> None:
-        """Return all slot storage to the store (eviction/close path)."""
-        for slot in self.slots:
-            self._store.release_slot(slot)
-        self.slots = []
-
-    def rebind_store(self, store) -> None:
-        """Move this session's slot state into another store (degrade path)."""
-        old_store = self._store
-        for slot in self.slots:
-            hidden = np.array(slot.hidden, dtype=store.dtype)
-            cell = np.array(slot.cell, dtype=store.dtype)
-            old_store.release_slot(slot)
-            slot.hidden = hidden
-            slot.cell = cell
-        self._store = store
-
-    def checkpoint(self) -> SessionCheckpoint:
-        """Snapshot the full session state into an alias-free checkpoint."""
-        dtype = self._store.dtype
-        return SessionCheckpoint(
-            key=self.key,
-            calls_seen=self.calls_seen,
-            flagged=self.flagged,
-            windows_classified=self.windows_classified,
-            slots=tuple(
-                (slot.start, slot.filled,
-                 np.array(slot.hidden, dtype=dtype),
-                 np.array(slot.cell, dtype=dtype))
-                for slot in self.slots
-            ),
-        )
-
-    @classmethod
-    def from_checkpoint(cls, checkpoint: SessionCheckpoint,
-                        store) -> "StreamSession":
-        session = cls(checkpoint.key, store)
-        session.calls_seen = checkpoint.calls_seen
-        session.flagged = checkpoint.flagged
-        session.windows_classified = checkpoint.windows_classified
-        session.slots = store.adopt_slots(checkpoint.slots)
-        return session
+        self.rows: list = []
+        self.starts: list = []
 
 
-def _open_due_slot(session: StreamSession, stride: int) -> None:
-    """Open this tick's window unless an overflow retry already did.
+class SessionStepper:
+    """Steps every open window of a tick's streams through one LSTM step.
 
-    A fused tick that trips the overflow guard is re-run on the
-    reference path *after* its slot opens; the retry must not open a
-    duplicate.  A freshly-opened slot is recognisable as the last slot
-    with ``start == calls_seen`` (older slots always have smaller
-    starts).
-    """
-    if session.calls_seen % stride == 0 and (
-        not session.slots or session.slots[-1].start != session.calls_seen
-    ):
-        session.open_slot()
-
-
-class ReferenceStepper:
-    """The shipped per-tick mechanics: Python row lists + NumPy kernels.
-
-    This is the oracle the fused stepper is measured against — its
-    behaviour (iteration order, kernel call sequence, rounding) is the
-    bit-exactness baseline and must not drift.
+    Owns the slot arena: every open window's ``(h, C)`` is a row of two
+    ``(capacity, H)`` arrays, handed out from a free list that doubles
+    the arrays when it runs dry.  The carrier dtype is float64 while
+    ``math`` (the backend's fused fixed-point math) is set, otherwise
+    the engine's external dtype, so the reference ``preprocess``/
+    ``gates``/``hidden_state`` kernels get exactly the arrays they
+    always have.  Only the math differs between backends; the
+    bookkeeping is shared.
     """
 
-    name = "reference"
-
-    def __init__(self, manager: "SessionManager"):
+    def __init__(self, manager: "SessionManager", math=None):
         self.manager = manager
-        manager._store = _PlainSlotStore(manager._hidden_size, manager._dtype)
+        self.math = math
+        dtype = np.float64 if math is not None else manager._dtype
+        # Start small: a fleet runs one manager per drive, most of them
+        # with few resident streams.
+        self.h = np.zeros((16, manager._hidden_size), dtype=dtype)
+        self.c = np.zeros_like(self.h)
+        self._free = list(range(15, -1, -1))
 
-    def materialize(self) -> None:
-        pass
+    def _alloc(self) -> int:
+        if not self._free:
+            capacity = self.h.shape[0]
+            self.h = np.concatenate([self.h, np.zeros_like(self.h)])
+            self.c = np.concatenate([self.c, np.zeros_like(self.c)])
+            self._free.extend(range(2 * capacity - 1, capacity - 1, -1))
+        return self._free.pop()
 
-    def after_tick(self, stepped, completed: bool) -> None:
-        pass
+    def drop_fused_math(self) -> None:
+        """Continue on the reference kernels (the ``overflow_guard`` fallback).
 
-    def step_rows(self, stepped) -> tuple:
-        manager = self.manager
-        stride = manager.config.stride
-        row_sessions: list = []
-        row_slots: list = []
-        h_rows: list = []
-        c_rows: list = []
-        x_tokens: list = []
-        for session, token in stepped:
-            _open_due_slot(session, stride)
-            for slot in session.slots:
-                row_sessions.append(session)
-                row_slots.append(slot)
-                h_rows.append(slot.hidden)
-                c_rows.append(slot.cell)
-                x_tokens.append(token)
-            session.calls_seen += 1
+        The arena's float64 values are exact integers inside the guard,
+        so casting it to the external dtype once loses nothing.
+        """
+        self.math = None
+        self.h = self.h.astype(self.manager._dtype)
+        self.c = self.c.astype(self.manager._dtype)
+        self.manager.backend.record_fallback(FALLBACK_OVERFLOW_GUARD)
 
-        completions: list = []
-        if row_slots:
-            engine = manager.engine
-            embedded = engine.preprocess.run_batch(
-                np.asarray(x_tokens, dtype=np.int64)
-            )
-            gate_outputs = engine.gates.run_batch(np.stack(h_rows), embedded)
-            hidden, cell = engine.hidden_state.step_batch(
-                gate_outputs, np.stack(c_rows)
-            )
-            completed: list = []
-            for index, slot in enumerate(row_slots):
-                slot.hidden[:] = hidden[index]
-                slot.cell[:] = cell[index]
-                slot.filled += 1
-                if slot.filled == manager.window_length:
-                    completed.append(index)
-            if completed:
-                probabilities = engine.hidden_state.classify_batch(
-                    hidden[np.asarray(completed, dtype=np.intp)]
-                )
-                completions = [
-                    (row_sessions[index], row_slots[index], float(probability))
-                    for probability, index in zip(probabilities, completed)
-                ]
-        return len(row_slots), completions
-
-
-class _Roster:
-    """Cached row structure reused across ticks with no structural change."""
-
-    __slots__ = ("sessions", "row_sessions", "row_slots", "cols", "counts",
-                 "fast_left")
-
-    def __init__(self, sessions, row_sessions, row_slots, cols, counts,
-                 fast_left):
-        self.sessions = sessions
-        self.row_sessions = row_sessions
-        self.row_slots = row_slots
-        self.cols = cols
-        self.counts = counts
-        self.fast_left = fast_left
-
-
-class FusedStepper:
-    """Arena-backed stepping with roster caching (the ``fused`` backend).
-
-    Two tick shapes:
-
-    * **slow** — structural work due (a window opens or completes, or
-      the stepped set changed): enumerate slots in Python like the
-      reference path, but gather/scatter state by arena index and rebuild
-      the roster cache.
-    * **fast** — the cached roster still describes this tick exactly: no
-      Python per-slot work at all; one embedding gather, one fused (or
-      batched-kernel) step, one scatter.  ``slot.filled`` bookkeeping is
-      deferred (``_pending``) and folded in by :meth:`materialize`
-      before anything outside the tick reads it.
-
-    How many fast ticks a roster is good for is computed at build time
-    from the stride phase of every stepped session and the fill count of
-    every open slot, so correctness never depends on re-checking them
-    per tick.
-    """
-
-    name = "fused"
-
-    def __init__(self, manager: "SessionManager", backend):
-        self.manager = manager
-        self.backend = backend
-        self.math = backend.fused_math  # None on the float levels
-        if self.math is not None:
-            hidden_limit = float(self.math.scale)
-            cell_limit = self.math.cell_limit
-        else:
-            hidden_limit = cell_limit = None
-        store = _ArenaSlotStore(
-            manager._hidden_size, manager._dtype, hidden_limit, cell_limit
-        )
-        store.grow_hook = self._rebind_views
-        manager._store = store
-        self.store = store
-        self._roster: _Roster | None = None
-        self._pending = 0
-        self._draft: tuple | None = None
-
-    # -- bookkeeping hooks ---------------------------------------------
-
-    def _rebind_views(self) -> None:
-        store = self.store
-        for session in self.manager._resident.values():
-            for slot in session.slots:
-                slot.hidden = store.h[slot.col]
-                slot.cell = store.c[slot.col]
-
-    def materialize(self) -> None:
-        """Fold deferred fast-tick fill counts into the slot objects."""
-        pending = self._pending
-        if pending and self._roster is not None:
-            for slot in self._roster.row_slots:
-                slot.filled += pending
-        self._pending = 0
-
-    # -- stepping -------------------------------------------------------
-
-    def step_rows(self, stepped) -> tuple:
-        roster = self._roster
-        if roster is not None and roster.fast_left > 0 and len(stepped) == len(roster.sessions):
-            for (session, _token), cached in zip(stepped, roster.sessions):
-                if session is not cached:
-                    break
-            else:
-                return self._fast_tick(stepped, roster)
-        return self._slow_tick(stepped)
-
-    def _step_state(self, h, c, embedded) -> tuple:
+    def _advance(self, index: np.ndarray, embedded: np.ndarray) -> tuple:
+        h = self.h[index]
+        c = self.c[index]
         if self.math is not None:
             return self.math.step_rows(h, c, embedded)
         engine = self.manager.engine
         gate_outputs = engine.gates.run_batch(h, embedded)
         return engine.hidden_state.step_batch(gate_outputs, c)
 
-    def _classify(self, hidden_rows) -> np.ndarray:
-        if self.math is not None:
-            return self.math.classify_rows(hidden_rows)
-        return self.manager.engine.hidden_state.classify_batch(hidden_rows)
+    def step_rows(self, stepped) -> tuple:
+        """Advance ``stepped`` ``(session, token)`` pairs by one token each.
 
-    def _fast_tick(self, stepped, roster: _Roster) -> tuple:
-        manager = self.manager
-        tokens = np.fromiter(
-            (token for _, token in stepped), dtype=np.int64, count=len(stepped)
-        )
-        rows = int(roster.cols.size)
-        if rows:
-            row_tokens = np.repeat(tokens, roster.counts)
-            embedded = manager.engine.preprocess.run_batch(row_tokens)
-            store = self.store
-            h = store.h[roster.cols]
-            c = store.c[roster.cols]
-            new_h, new_c = self._step_state(h, c, embedded)  # may raise FusedOverflow
-            store.h[roster.cols] = new_h
-            store.c[roster.cols] = new_c
-        for session, _token in stepped:
-            session.calls_seen += 1
-        self._pending += 1
-        roster.fast_left -= 1
-        return rows, []
-
-    def _slow_tick(self, stepped) -> tuple:
-        self.materialize()
-        self._roster = None
-        self._draft = None
+        Rows are the stepped streams in order, each stream's windows
+        oldest first.  Returns ``(rows, completions)`` where each
+        completion is ``(session, window_start, probability)``, in
+        stream order (only a stream's oldest window can complete).
+        """
         manager = self.manager
         stride = manager.config.stride
-        count = len(stepped)
-        sessions: list = []
-        row_sessions: list = []
-        row_slots: list = []
-        counts = np.empty(count, dtype=np.intp)
-        tokens = np.empty(count, dtype=np.int64)
-        for index, (session, token) in enumerate(stepped):
-            _open_due_slot(session, stride)
-            slots = session.slots
-            sessions.append(session)
-            counts[index] = len(slots)
-            tokens[index] = token
-            for slot in slots:
-                row_sessions.append(session)
-                row_slots.append(slot)
+        window = manager.window_length
+        cols: list = []
+        counts: list = []
+        tokens: list = []
+        opened: list = []
+        done: list = []  # (session, row position) of completing windows
+        for session, token in stepped:
+            calls = session.calls_seen
+            rows = session.rows
+            if calls % stride == 0:
+                row = self._alloc()
+                opened.append(row)
+                rows.append(row)
+                session.starts.append(calls)
+            session.calls_seen = calls + 1
+            if rows:
+                if calls + 1 - session.starts[0] == window:
+                    done.append((session, len(cols)))
+                cols.extend(rows)
+            counts.append(len(rows))
+            tokens.append(token)
+        if not cols:
+            return 0, []
 
-        rows = len(row_slots)
-        completions: list = []
-        if rows:
-            cols = np.fromiter(
-                (slot.col for slot in row_slots), dtype=np.intp, count=rows
-            )
-            row_tokens = np.repeat(tokens, counts)
-            embedded = manager.engine.preprocess.run_batch(row_tokens)
-            store = self.store
-            h = store.h[cols]
-            c = store.c[cols]
-            new_h, new_c = self._step_state(h, c, embedded)  # may raise FusedOverflow
-            store.h[cols] = new_h
-            store.c[cols] = new_c
-            completed: list = []
-            window = manager.window_length
-            for index, slot in enumerate(row_slots):
-                slot.filled += 1
-                if slot.filled == window:
-                    completed.append(index)
-            if completed:
-                probabilities = self._classify(
-                    new_h[np.asarray(completed, dtype=np.intp)]
-                )
-                completions = [
-                    (row_sessions[index], row_slots[index], float(probability))
-                    for probability, index in zip(probabilities, completed)
-                ]
-        else:
-            cols = np.zeros(0, dtype=np.intp)
-        for session, _token in stepped:
-            session.calls_seen += 1
-        self._draft = (sessions, row_sessions, row_slots, cols, counts)
-        return rows, completions
-
-    def after_tick(self, stepped, completed: bool) -> None:
-        """Build the roster for upcoming ticks from this tick's outcome."""
-        draft = self._draft
-        self._draft = None
-        if draft is None:
-            return  # fast tick: roster already live
-        sessions, row_sessions, row_slots, cols, counts = draft
-        if not sessions:
-            return
-        if completed:
-            # Window closes invalidated the draft's rows; re-enumerate.
-            row_sessions, row_slots = [], []
-            for index, session in enumerate(sessions):
-                counts[index] = len(session.slots)
-                for slot in session.slots:
-                    row_sessions.append(session)
-                    row_slots.append(slot)
-            cols = np.fromiter(
-                (slot.col for slot in row_slots), dtype=np.intp,
-                count=len(row_slots),
-            )
-        stride = self.manager.config.stride
-        calls = np.fromiter(
-            (session.calls_seen for session in sessions), dtype=np.int64,
-            count=len(sessions),
+        if opened:
+            self.h[opened] = 0
+            self.c[opened] = 0
+        index = np.array(cols, dtype=np.intp)
+        embedded = manager.engine.preprocess.run_batch(
+            np.repeat(np.array(tokens, dtype=np.int64), counts)
         )
-        # Next window opens for session i at age ((-calls_i) mod stride)+1;
-        # the earliest completion at age window - max(filled).  The tick
-        # at that age must be slow, every tick before it may be fast.
-        next_open = int(np.min((-calls) % stride)) + 1
-        if row_slots:
-            max_filled = max(slot.filled for slot in row_slots)
-            next_complete = self.manager.window_length - max_filled
-            horizon = min(next_open, next_complete)
-        else:
-            horizon = next_open
-        fast_left = horizon - 1
-        if fast_left > 0:
-            self._roster = _Roster(
-                sessions, row_sessions, row_slots, cols, counts, fast_left
-            )
+        try:
+            new_h, new_c = self._advance(index, embedded)
+        except FusedOverflow:
+            self.drop_fused_math()
+            new_h, new_c = self._advance(index, embedded)
+        self.h[index] = new_h
+        self.c[index] = new_c
+
+        completions: list = []
+        if done:
+            finished = new_h[[position for _, position in done]]
+            if self.math is not None:
+                probabilities = self.math.classify_rows(finished)
+            else:
+                probabilities = manager.engine.hidden_state.classify_batch(finished)
+            closed = []
+            for (session, _), probability in zip(done, probabilities.tolist()):
+                closed.append(session.rows.pop(0))
+                completions.append((session, session.starts.pop(0), probability))
+            self._free.extend(closed)
+        return len(cols), completions
+
+    def checkpoint(self, session: StreamSession) -> SessionCheckpoint:
+        """Snapshot one session into an alias-free external-dtype checkpoint."""
+        dtype = self.manager._dtype
+        h, c = self.h, self.c
+        calls = session.calls_seen
+        return SessionCheckpoint(
+            key=session.key,
+            calls_seen=calls,
+            flagged=session.flagged,
+            windows_classified=session.windows_classified,
+            slots=tuple(
+                (start, calls - start, h[row].astype(dtype), c[row].astype(dtype))
+                for row, start in zip(session.rows, session.starts)
+            ),
+        )
+
+    def restore(self, checkpoint: SessionCheckpoint) -> StreamSession:
+        """A resident session rebuilt from ``checkpoint``'s state.
+
+        A state magnitude outside the fused exactness guard drops the
+        fused math first (counted ``overflow_guard``).
+        """
+        session = StreamSession(checkpoint.key)
+        session.calls_seen = checkpoint.calls_seen
+        session.flagged = checkpoint.flagged
+        session.windows_classified = checkpoint.windows_classified
+        slots = checkpoint.slots
+        math = self.math
+        if math is not None and any(
+            np.max(np.abs(hidden, dtype=np.float64)) > math.scale
+            or np.max(np.abs(cell, dtype=np.float64)) > math.cell_limit
+            for _, _, hidden, cell in slots
+        ):
+            self.drop_fused_math()
+        for start, _, hidden, cell in slots:
+            row = self._alloc()
+            self.h[row] = hidden
+            self.c[row] = cell
+            session.rows.append(row)
+            session.starts.append(start)
+        return session
+
+    def release(self, session: StreamSession) -> None:
+        """Return a session's arena rows (eviction/close/migration path)."""
+        self._free.extend(session.rows)
+        session.rows = []
+        session.starts = []
 
 
 class SessionManager:
@@ -728,7 +420,6 @@ class SessionManager:
             self.backend = engine.step_backend
         else:
             self.backend = resolve_backend(backend_name, engine)
-        self._store = None  # set by the stepper's constructor
         self._stepper = self.backend.session_stepper(self)
 
         self._resident: collections.OrderedDict = collections.OrderedDict()
@@ -831,16 +522,6 @@ class SessionManager:
             self._checkpoint_bytes -= checkpoint.nbytes
         return checkpoint
 
-    def _degrade(self, reason: str) -> None:
-        """Swap to the reference stepper mid-run (overflow guard path)."""
-        self._stepper.materialize()
-        old_stepper = self._stepper
-        self._stepper = ReferenceStepper(self)  # rebinds self._store
-        del old_stepper
-        for session in self._resident.values():
-            session.rebind_store(self._store)
-        self.backend.record_fallback(reason)
-
     def _activate(self, key) -> StreamSession:
         """Resident lookup with LRU touch; restores or creates as needed."""
         session = self._resident.get(key)
@@ -849,25 +530,20 @@ class SessionManager:
         else:
             checkpoint = self._pop_checkpoint(key)
             if checkpoint is not None:
-                try:
-                    session = StreamSession.from_checkpoint(checkpoint, self._store)
-                except FusedOverflow:
-                    self._degrade(FALLBACK_OVERFLOW_GUARD)
-                    session = StreamSession.from_checkpoint(checkpoint, self._store)
+                session = self._stepper.restore(checkpoint)
                 self._restores += 1
                 self._count("repro_session_restores_total")
             else:
-                session = StreamSession(key, self._store)
+                session = StreamSession(key)
             self._resident[key] = session
         session.last_used_tick = self._tick
         return session
 
     def _evict_session(self, key, reason: str, checkpoint: bool = True) -> None:
-        self._stepper.materialize()
         session = self._resident.pop(key)
         if checkpoint:
-            self._store_checkpoint(session.checkpoint())
-        session.release_slots()
+            self._store_checkpoint(self._stepper.checkpoint(session))
+        self._stepper.release(session)
         self._count_eviction(reason)
 
     def _enforce_budget(self) -> None:
@@ -913,17 +589,81 @@ class SessionManager:
         hand-off (the fleet failover path does exactly this).
         """
         if key in self._resident:
-            self._stepper.materialize()
-            return self._resident[key].checkpoint()
+            return self._stepper.checkpoint(self._resident[key])
         if key in self._checkpoints:
             return self._checkpoints[key]
         raise KeyError(f"unknown session {key!r}")
 
     def import_checkpoint(self, checkpoint: SessionCheckpoint) -> None:
-        """Adopt a migrated session; it restores on its next token."""
+        """Adopt a migrated session; it restores on its next token.
+
+        Raises
+        ------
+        ValueError
+            if the session is already resident, or the checkpoint is one
+            this manager could not continue (see
+            :meth:`_check_checkpoint`); nothing is stored then.
+        """
         if checkpoint.key in self._resident:
             raise ValueError(f"session {checkpoint.key!r} is already resident")
+        self._check_checkpoint(checkpoint)
         self._store_checkpoint(checkpoint)
+
+    def _check_checkpoint(self, checkpoint: SessionCheckpoint) -> None:
+        """Reject a checkpoint whose windows or state this manager cannot step.
+
+        At most ``ring_capacity`` windows; starts strictly increasing
+        multiples of ``stride``; each fill ``calls_seen - start`` inside
+        ``[1, window_length)``; each ``hidden``/``cell`` a finite
+        ``(H,)`` vector, integer-valued at fixed point.  Magnitudes are
+        not bounded: state beyond the fused guard restores on the
+        reference kernels.
+        """
+        slots = checkpoint.slots
+        calls = checkpoint.calls_seen
+        if not isinstance(calls, (int, np.integer)) or calls < 0:
+            raise ValueError(f"calls_seen must be a non-negative int, got {calls!r}")
+        if len(slots) > self.ring_capacity:
+            raise ValueError(
+                f"checkpoint holds {len(slots)} windows; at most "
+                f"{self.ring_capacity} are open at stride {self.config.stride}"
+            )
+        previous = -1
+        for start, filled, _, _ in slots:
+            if (not isinstance(start, (int, np.integer)) or start <= previous
+                    or start % self.config.stride):
+                raise ValueError(
+                    f"window start {start!r}: starts must be strictly "
+                    f"increasing multiples of stride {self.config.stride}"
+                )
+            if filled != calls - start or not 1 <= filled < self.window_length:
+                raise ValueError(
+                    f"window at {start} has fill {filled!r}; expected "
+                    f"calls_seen - start = {calls - start} inside "
+                    f"[1, {self.window_length})"
+                )
+            previous = start
+        if not slots:
+            return
+        shape = (2 * len(slots), self._hidden_size)
+        try:
+            states = np.array([state for slot in slots for state in slot[2:]])
+        except ValueError:
+            states = None
+        if states is None or states.shape != shape or states.dtype.kind not in "iuf":
+            raise ValueError(
+                f"hidden and cell must be numeric vectors of shape "
+                f"({self._hidden_size},)"
+            )
+        if states.dtype.kind == "f":
+            if not np.isfinite(states).all():
+                raise ValueError("checkpoint state must be finite")
+            if self._dtype is np.int64 and not (
+                (np.floor(states) == states) & (np.abs(states) < 2.0**63)
+            ).all():
+                raise ValueError(
+                    "fixed-point checkpoint state must be integer-valued"
+                )
 
     def release(self, key) -> SessionCheckpoint:
         """Export ``key`` and drop every local copy; counted ``migrated``.
@@ -936,7 +676,7 @@ class SessionManager:
         checkpoint = self.export_checkpoint(key)
         session = self._resident.pop(key, None)
         if session is not None:
-            session.release_slots()
+            self._stepper.release(session)
         self._pop_checkpoint(key)
         self._count_eviction(EVICT_MIGRATED)
         return checkpoint
@@ -989,17 +729,12 @@ class SessionManager:
                 continue
             stepped.append((session, token))
 
-        try:
-            rows, completions = self._stepper.step_rows(stepped)
-        except FusedOverflow:
-            self._degrade(FALLBACK_OVERFLOW_GUARD)
-            rows, completions = self._stepper.step_rows(stepped)
+        rows, completions = self._stepper.step_rows(stepped)
         verdicts = [
-            self._complete_window(session, slot, probability)
-            for session, slot, probability in completions
+            self._complete_window(session, start, probability)
+            for session, start, probability in completions
         ]
         self._slot_steps += rows
-        self._stepper.after_tick(stepped, bool(completions))
 
         self._steps += 1
         self._enforce_budget()
@@ -1017,16 +752,15 @@ class SessionManager:
             )
         return ids.tolist()
 
-    def _complete_window(self, session: StreamSession, slot: _WindowSlot,
+    def _complete_window(self, session: StreamSession, start: int,
                          probability: float) -> SessionVerdict:
         verdict = SessionVerdict(
             session=session.key,
-            window_index=slot.start,
+            window_index=start,
             probability=probability,
             is_ransomware=probability >= self.config.threshold,
             inference_microseconds=self._sequence_microseconds,
         )
-        session.close_slot(slot)
         session.windows_classified += 1
         label = "ransomware" if verdict.is_ransomware else "benign"
         self._verdicts[label] += 1

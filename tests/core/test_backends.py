@@ -12,7 +12,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import sessions as sessions_mod
 from repro.core.kernels import backends as backends_mod
 from repro.core.config import EngineConfig, OptimizationLevel
 from repro.core.engine import CSDInferenceEngine
@@ -206,9 +205,10 @@ class TestDegradation:
         )
 
     def test_mid_run_overflow_degrades_to_reference(self, monkeypatch):
-        """An injected ``FusedOverflow`` mid-stream converts state to the
-        reference stepper exactly: the verdict stream is unchanged and
-        the fallback is counted under ``overflow_guard``."""
+        """An injected ``FusedOverflow`` mid-stream moves the manager onto
+        the reference kernels exactly: the verdict stream is unchanged,
+        the fallback is counted under ``overflow_guard``, and the fused
+        math is never called again."""
         engine = engine_for(OptimizationLevel.FIXED_POINT)
         rng = np.random.default_rng(37)
         keys = [f"s{i}" for i in range(5)]
@@ -219,24 +219,63 @@ class TestDegradation:
         )
 
         fused = SessionManager(engine, config, backend="fused")
-        original = sessions_mod.FusedStepper.step_rows
-        state = {"armed": True}
+        math_impl = fused.backend.fused_math
+        original = math_impl.step_rows
+        calls = {"before": 0, "after": 0}
 
-        def flaky(self, stepped):
-            if state["armed"] and len(self.manager._resident) and (
-                next(iter(self.manager._resident.values())).calls_seen
-                > WINDOW + 2
-            ):
-                state["armed"] = False
-                raise FusedOverflow("injected")
-            return original(self, stepped)
+        def flaky(h, c, x_rows):
+            if calls["before"] == WINDOW + 2:
+                calls["after"] += 1
+                if calls["after"] == 1:
+                    raise FusedOverflow("injected")
+            else:
+                calls["before"] += 1
+            return original(h, c, x_rows)
 
-        monkeypatch.setattr(sessions_mod.FusedStepper, "step_rows", flaky)
+        monkeypatch.setattr(math_impl, "step_rows", flaky)
         got = manager_verdicts(fused, keys, tokens)
         assert want and got == want
         stats = fused.stats()
         assert stats["backend_fallbacks"].get(FALLBACK_OVERFLOW_GUARD) == 1
-        assert isinstance(fused._stepper, sessions_mod.ReferenceStepper)
+        assert calls == {"before": WINDOW + 2, "after": 1}
+
+    def test_restored_state_beyond_the_guard_degrades_to_reference(self):
+        """A checkpoint whose cell state sits past the fused guard is
+        restored on the reference kernels: counted once under
+        ``overflow_guard``, with verdicts equal to a reference manager's."""
+        engine = engine_for(OptimizationLevel.FIXED_POINT)
+        rng = np.random.default_rng(43)
+        tokens = rng.integers(0, VOCAB, size=3 * WINDOW)
+        split = WINDOW + 4
+        config = SessionConfig(stride=2)
+
+        source = SessionManager(engine, config, backend="reference")
+        for token in tokens[:split]:
+            source.observe("p", int(token))
+        checkpoint = source.export_checkpoint("p")
+        fused = SessionManager(engine, config, backend="fused")
+        limit = fused.backend.fused_math.cell_limit
+        start, filled, hidden, cell = checkpoint.slots[0]
+        cell = cell.copy()
+        cell[0] = int(limit) + 5
+        hot = dataclasses.replace(
+            checkpoint, slots=((start, filled, hidden, cell),)
+            + checkpoint.slots[1:],
+        )
+
+        verdicts = {}
+        for name, manager in (
+            ("reference", SessionManager(engine, config, backend="reference")),
+            ("fused", fused),
+        ):
+            manager.import_checkpoint(hot)
+            verdicts[name] = [
+                (v.window_index, v.probability)
+                for t in tokens[split:] for v in [manager.observe("p", int(t))]
+                if v is not None
+            ]
+        assert verdicts["reference"] and verdicts["fused"] == verdicts["reference"]
+        assert fused.stats()["backend_fallbacks"].get(FALLBACK_OVERFLOW_GUARD) == 1
 
     def test_fallbacks_and_ticks_are_observable(self):
         from repro.telemetry import Telemetry

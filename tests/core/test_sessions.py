@@ -28,7 +28,6 @@ from repro.core.sessions import (
     SESSION_OVERHEAD_BYTES,
     SessionConfig,
     SessionManager,
-    StreamSession,
 )
 from repro.core.weights import HostWeights
 from repro.nn.model import SequenceClassifier
@@ -355,6 +354,59 @@ class TestCheckpointRestore:
             manager.import_checkpoint(checkpoint)
 
 
+def _malformed(checkpoint, defect: str):
+    """``checkpoint`` with one of the defects ``import_checkpoint`` rejects."""
+    start, filled, hidden, cell = checkpoint.slots[0]
+    rest = checkpoint.slots[1:]
+    if defect == "nan_state":
+        cell = cell.astype(np.float64)
+        cell[0] = np.nan
+        slots = ((start, filled, hidden, cell),) + rest
+    elif defect == "overfilled_slot":
+        slots = ((start, 30, hidden, cell),) + rest
+    elif defect == "too_many_slots":
+        slots = tuple((i, checkpoint.calls_seen - i, hidden, cell)
+                      for i in range(40))
+    else:  # short_hidden
+        slots = ((start, filled, hidden[:-1], cell),) + rest
+    return dataclasses.replace(checkpoint, slots=slots)
+
+
+class TestCheckpointValidation:
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    @pytest.mark.parametrize(
+        "defect",
+        ["nan_state", "overfilled_slot", "too_many_slots", "short_hidden"],
+    )
+    def test_malformed_checkpoint_rejected_before_storing(self, defect, backend):
+        engine = engine_for(OptimizationLevel.FIXED_POINT)
+        config = SessionConfig(stride=3)
+        source = SessionManager(engine, config, backend=backend)
+        for token in range(WINDOW + 4):
+            source.observe("proc", token % VOCAB)
+        checkpoint = _malformed(source.export_checkpoint("proc"), defect)
+        target = SessionManager(engine, config, backend=backend)
+        with pytest.raises(ValueError):
+            target.import_checkpoint(checkpoint)
+        assert target.known_keys() == ()
+        assert target.checkpoint_bytes == 0
+
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    def test_valid_checkpoint_accepted(self, backend):
+        engine = engine_for(OptimizationLevel.FIXED_POINT)
+        config = SessionConfig(stride=3)
+        source = SessionManager(engine, config, backend=backend)
+        for token in range(WINDOW + 4):
+            source.observe("proc", token % VOCAB)
+        checkpoint = source.export_checkpoint("proc")
+        target = SessionManager(engine, config, backend=backend)
+        target.import_checkpoint(checkpoint)
+        assert target.checkpoint_bytes == checkpoint.nbytes == (
+            SESSION_OVERHEAD_BYTES
+            + len(checkpoint.slots) * 2 * engine.config.dimensions.hidden_size * 8
+        )
+
+
 class TestLifecycle:
     def test_idle_sessions_evicted(self):
         engine = engine_for(OptimizationLevel.VANILLA)
@@ -414,8 +466,8 @@ class TestLifecycle:
         manager = SessionManager(engine, SessionConfig(stride=4))
         for token in range(5 * WINDOW):
             manager.observe("proc", token % VOCAB)
-            session = manager._resident["proc"]
-            assert len(session.slots) <= manager.ring_capacity
+            slots = manager.export_checkpoint("proc").slots
+            assert len(slots) <= manager.ring_capacity
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
