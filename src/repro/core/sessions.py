@@ -306,11 +306,9 @@ class SessionStepper:
                 probabilities = self.math.classify_rows(finished)
             else:
                 probabilities = manager.engine.hidden_state.classify_batch(finished)
-            closed = []
             for (session, _), probability in zip(done, probabilities.tolist()):
-                closed.append(session.rows.pop(0))
+                self._free.append(session.rows.pop(0))
                 completions.append((session, session.starts.pop(0), probability))
-            self._free.extend(closed)
         return len(cols), completions
 
     def checkpoint(self, session: StreamSession) -> SessionCheckpoint:
