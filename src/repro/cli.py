@@ -15,8 +15,9 @@ Commands cover the operational loop a data-center operator would run:
   inference, batched across processes, memory-budgeted; see
   ``docs/streaming.md``);
 * ``fleet-serve`` — run the deterministic multi-device serving
-  simulator (dynamic batching, bounded queues, timeout/failover) over a
-  seeded synthetic workload and print latency/shed/utilisation figures;
+  simulator (per-stream sessions, batched token ticks, bounded token
+  buffers, failover with session migration) over a seeded synthetic
+  token workload and print verdict/latency/shed/utilisation figures;
 * ``control-plane`` — run the hierarchical rack/node/drive control
   plane (shard-affine routing, QoS admission, autoscaling, rolling
   drains) over a simulated fleet and print the operator report (see
@@ -376,7 +377,7 @@ def _add_fleet_serve_command(subparsers) -> None:
     parser.add_argument("--calls-per-second", type=float, default=20_000.0,
                         help="API-call rate of each monitored stream")
     parser.add_argument("--stride", type=int, default=10,
-                        help="detection stride (calls per window)")
+                        help="detection stride (calls between window starts)")
     parser.add_argument("--duration-ms", type=int, default=200)
     parser.add_argument("--sequence-length", type=int, default=100)
     parser.add_argument("--optimization", choices=[l.name for l in OptimizationLevel],
@@ -384,8 +385,6 @@ def _add_fleet_serve_command(subparsers) -> None:
     parser.add_argument("--max-batch", type=int, default=16)
     parser.add_argument("--max-wait-us", type=int, default=2_000)
     parser.add_argument("--queue-depth", type=int, default=64)
-    parser.add_argument("--timeout-us", type=int, default=50_000)
-    parser.add_argument("--max-retries", type=int, default=2)
     parser.add_argument("--headroom", type=float, default=0.8)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--kill-device", type=int, default=None,
@@ -403,8 +402,9 @@ def _run_fleet_serve(args) -> int:
         FleetServer,
         ServingConfig,
         build_fleet,
-        generate_workload,
+        generate_token_workload,
     )
+    from repro.core.sessions import SessionConfig
     from repro.core.throughput import throughput_report
     from repro.core.weights import HostWeights
     from repro.hw.faults import DeviceFailFault, FaultPlan
@@ -430,40 +430,47 @@ def _run_fleet_serve(args) -> int:
         fault_plans[args.kill_device] = FaultPlan(
             device_fail=DeviceFailFault(at_us=kill_at_us)
         )
-    workload = generate_workload(
+    arrivals = generate_token_workload(
         streams, duration_us=duration_us,
-        sequence_length=args.sequence_length,
+        tokens_per_second=args.calls_per_second,
         vocab_size=dims.vocab_size, seed=args.seed,
     )
     server = FleetServer(
         engines, streams,
         ServingConfig(
             max_batch=args.max_batch, max_wait_us=args.max_wait_us,
-            queue_depth=args.queue_depth, timeout_us=args.timeout_us,
-            max_retries=args.max_retries,
+            queue_depth=args.queue_depth,
         ),
         planner=planner, fault_plans=fault_plans,
         telemetry=getattr(args, "_telemetry", None),
     )
-    report = server.serve(workload)
+    report = server.serve_tokens(
+        arrivals, sessions=SessionConfig(stride=args.stride)
+    )
     print(f"fleet: {args.devices} devices, {args.streams} streams x "
-          f"{args.calls_per_second:.0f} calls/s (stride {args.stride}), "
-          f"{args.duration_ms} ms simulated")
-    print(f"offered {report.offered}  completed {report.completed_count}  "
-          f"shed {report.shed_count} ({report.shed_rate:.1%})")
-    if report.shed:
-        breakdown = ", ".join(f"{k}={v}" for k, v in sorted(report.shed.items()))
+          f"{args.calls_per_second:.0f} calls/s (window {args.sequence_length},"
+          f" stride {args.stride}), {args.duration_ms} ms simulated")
+    shed_rate = report.shed_count / max(report.tokens_offered, 1)
+    print(f"tokens: offered {report.tokens_offered}  "
+          f"shed {report.shed_count} ({shed_rate:.1%})")
+    if report.tokens_shed:
+        breakdown = ", ".join(
+            f"{k}={v}" for k, v in sorted(report.tokens_shed.items())
+        )
         print(f"shed breakdown: {breakdown}")
-    if report.retries:
-        breakdown = ", ".join(f"{k}={v}" for k, v in sorted(report.retries.items()))
-        print(f"retries: {breakdown}")
-    if report.completed:
-        print(f"latency p50 {report.latency_percentile_us(50):.0f} us  "
-              f"p99 {report.latency_percentile_us(99):.0f} us")
+    print(f"verdicts: {report.verdict_count} "
+          f"({sum(v.is_ransomware for v in report.verdicts)} ransomware)")
+    if report.token_latencies:
+        print(f"token latency p50 {report.token_latency_percentile_us(50):.0f} us"
+              f"  p99 {report.token_latency_percentile_us(99):.0f} us")
+    if report.verdicts:
+        print("verdict latency "
+              f"p50 {report.verdict_latency_percentile_us(50):.0f} us  "
+              f"p99 {report.verdict_latency_percentile_us(99):.0f} us")
     for index, utilization in enumerate(report.device_utilization()):
         print(f"device {index}: utilization {utilization:.1%}")
-    if report.device_failures:
-        print(f"device failures injected: {report.device_failures}")
+    print(f"device failures {report.device_failures}  "
+          f"migrated sessions {report.migrated_sessions}")
     return 0
 
 

@@ -24,17 +24,13 @@ from repro.core.control_plane import (
 from repro.core.engine import CSDInferenceEngine, InferenceResult, engine_at_level
 from repro.core.fleet import FleetPlan, FleetPlanner, MonitoredStream
 from repro.core.serving import (
-    CompletedRequest,
     FleetServer,
     ServingConfig,
-    ServingReport,
-    ServingRequest,
     SessionServingReport,
     StreamVerdictRecord,
     TokenArrival,
     build_fleet,
     generate_token_workload,
-    generate_workload,
 )
 from repro.core.sessions import (
     SessionCheckpoint,
@@ -62,7 +58,6 @@ from repro.core.weights import HostWeights, QuantizedHostWeights
 __all__ = [
     "AutoscalePolicy",
     "CSDInferenceEngine",
-    "CompletedRequest",
     "ControlPlane",
     "ControlPlaneConfig",
     "ControlPlaneReport",
@@ -85,8 +80,6 @@ __all__ = [
     "QuantizedHostWeights",
     "ScaleEvent",
     "ServingConfig",
-    "ServingReport",
-    "ServingRequest",
     "SessionCheckpoint",
     "SessionConfig",
     "SessionManager",
@@ -104,7 +97,6 @@ __all__ = [
     "generate_fleet_rounds",
     "evaluate_policy",
     "generate_token_workload",
-    "generate_workload",
     "kernel_breakdown",
     "optimization_sweep",
     "streaming_report",

@@ -548,9 +548,9 @@ class CSDInferenceEngine:
     def sequence_microseconds(self) -> float:
         """Whole-sequence simulated latency (pipeline overlap + FC epilogue).
 
-        This is the per-request service time the fleet serving simulator
-        charges: the modeled FPGA runs sequences item by item, so a batch
-        of N occupies the device for N of these.
+        The simulated cost of classifying one whole window; streaming
+        detectors and session verdicts report it as
+        ``inference_microseconds``.
         """
         return self.analytic_timing().sequence_microseconds
 

@@ -1,36 +1,44 @@
-"""Fleet serving simulator: queueing, dynamic batching, failover.
+"""Fleet serving simulator: per-stream token ticks, admission, failover.
 
 The paper positions the SmartSSD as "a scalable solution ... allowing for
-the installation of multiple devices within a single node"; the ROADMAP's
-north star is serving heavy traffic across such a fleet.  This module is
-the load-bearing subsystem for that claim: a deterministic discrete-event
-simulator that drives N simulated CSD devices from per-stream request
-queues, on the same simulated clock as everything else in the repo —
-no wall clock anywhere, so two runs with one seed produce *identical*
-event logs, metrics, and probabilities.
+the installation of multiple devices within a single node", and its use
+case is continuous scanning of per-process API-call streams: the FPGA
+steps one item at a time through preprocess, the four gate CUs and
+hidden_state.  This module drives N simulated CSD devices with exactly
+that workload.  It is a deterministic discrete-event simulator on the
+same simulated clock as everything else in the repo — no wall clock
+anywhere, so two runs with one seed produce *identical* event logs,
+metrics, and verdicts.
 
 Mechanics
 ---------
-* **Dynamic batching** — each device accumulates pending windows and
-  executes them as one :meth:`~repro.core.engine.CSDInferenceEngine.infer_batch`
-  call once ``max_batch`` requests are waiting or the oldest has waited
-  ``max_wait_us``; the numeric results are bit-exact with calling
-  ``infer_batch`` directly on the same windows (the batch path *is* the
-  direct path).
-* **Admission control** — per-device queues are bounded at
-  ``queue_depth``; arrivals beyond the bound are shed explicitly and
-  counted, never silently dropped.
-* **Timeout + retry-with-failover** — a request whose attempt has waited
-  past ``timeout_us`` is retried on the least-loaded healthy device; a
-  :class:`~repro.hw.faults.FaultPlan` device failure kills a drive
-  mid-run, aborts its in-flight batch, fails over its queue, and
-  re-routes its streams using
-  :meth:`~repro.core.fleet.FleetPlanner.rebalance_after_failure`.
-* **Telemetry** — full instrumentation under the ``repro.telemetry/v1``
-  contract (see ``docs/observability.md`` and ``docs/serving.md``):
-  queue-depth gauges, batch-size and end-to-end latency histograms,
-  shed/retry counters, and per-device ``serve.batch`` spans on the
-  simulated microsecond timeline.
+* **Session affinity** — every device runs a
+  :class:`~repro.core.sessions.SessionManager`; a stream's tokens route
+  to one device (a :class:`~repro.core.fleet.FleetPlanner` plan,
+  round-robin, or a caller's ``router``), so its incremental LSTM state
+  lives in one place.
+* **Ticks** — a device buffers arriving tokens and steps at most one
+  token per stream through one batched ``SessionManager.step`` once
+  ``max_batch`` distinct streams are waiting or the oldest token has
+  waited ``max_wait_us``.  Service time is one LSTM step
+  (``per_item_microseconds``) per slot row stepped.  Verdicts are
+  bit-exact with a standalone ``SessionManager``, and so with
+  full-window recompute.
+* **Admission control** — each device's token buffer is bounded at
+  ``queue_depth``; a token past the bound, with no healthy device, or
+  of a quarantined stream is shed with an explicit reason and counted,
+  never silently dropped.
+* **Failover** — a :class:`~repro.hw.faults.FaultPlan` device failure
+  kills a drive mid-run: its in-flight tick delivers, its streams
+  re-route (via
+  :meth:`~repro.core.fleet.FleetPlanner.rebalance_after_failure` when a
+  planner is attached), and every session it held migrates as a
+  checkpoint along with its buffered tokens.  The per-stream verdict
+  sequence is invariant under failures; only timing shifts.
+* **Telemetry** — the ``repro_serve_*`` counters and gauges of the
+  ``repro.telemetry/v1`` contract (see ``docs/observability.md`` and
+  ``docs/serving.md``); the sessions emit their own ``repro_session_*``
+  family.
 
 Time is integer simulated microseconds throughout, driven by the same
 :class:`~repro.hw.sim.Simulator` event core the pipeline cross-validation
@@ -52,19 +60,14 @@ from repro.hw.sim import Simulator
 #: Shed reasons (the ``reason`` label of ``repro_serve_shed_total``).
 SHED_QUEUE_FULL = "queue_full"
 SHED_NO_DEVICE = "no_device"
-SHED_RETRIES = "retries"
 SHED_QUARANTINED = "quarantined"
-
-#: Retry reasons (the ``reason`` label of ``repro_serve_retries_total``).
-RETRY_TIMEOUT = "timeout"
-RETRY_FAILOVER = "failover"
 
 
 def nearest_rank_percentile(values: np.ndarray, percentile: float) -> float:
     """Nearest-rank percentile of a 1-D sample; NaN for an empty one.
 
-    The single definition both serving reports use (it was once duplicated
-    in each, and the copies could drift).  ``values`` need not be sorted.
+    The single definition the serving and control-plane reports share.
+    ``values`` need not be sorted.
     """
     if not 0 < percentile <= 100:
         raise ValueError(f"percentile must be in (0, 100], got {percentile}")
@@ -77,32 +80,24 @@ def nearest_rank_percentile(values: np.ndarray, percentile: float) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class ServingConfig:
-    """Policy knobs of the fleet server.
+    """Tick and admission policy of the fleet server.
 
     Parameters
     ----------
     max_batch:
-        Largest dynamic batch a device executes in one ``infer_batch``.
+        Distinct streams a device waits for before it launches a tick
+        (one token per stream per tick).
     max_wait_us:
-        Longest the oldest pending request may wait before a partial
-        batch is flushed (0 = flush immediately, no batching delay).
+        Longest the oldest buffered token may wait before a partial tick
+        launches (0 = launch immediately, no batching delay).
     queue_depth:
-        Bound on each device's pending queue; arrivals beyond it are
-        shed with reason ``queue_full``.
-    timeout_us:
-        Per-attempt deadline: a request still queued this long after its
-        (re-)enqueue is pulled from the batch and retried elsewhere.
-        Should exceed ``max_wait_us`` or every request times out.
-    max_retries:
-        Additional attempts (timeout or failover) before a request is
-        shed with reason ``retries``.
+        Bound on each device's token buffer; tokens beyond it are shed
+        with reason ``queue_full``.
     """
 
     max_batch: int = 16
     max_wait_us: int = 2_000
     queue_depth: int = 64
-    timeout_us: int = 50_000
-    max_retries: int = 2
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -111,127 +106,11 @@ class ServingConfig:
             raise ValueError(f"max_wait_us must be >= 0, got {self.max_wait_us}")
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        if self.timeout_us <= 0:
-            raise ValueError(f"timeout_us must be positive, got {self.timeout_us}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-
-
-@dataclasses.dataclass
-class ServingRequest:
-    """One window awaiting classification."""
-
-    request_id: int
-    stream: str
-    sequence: np.ndarray
-    arrival_us: int
-    attempts: int = 0
-    enqueued_us: int = 0
-
-
-@dataclasses.dataclass(frozen=True)
-class CompletedRequest:
-    """A served request: where it ran, what it scored, when it finished."""
-
-    request_id: int
-    stream: str
-    sequence: np.ndarray
-    device: int
-    probability: float
-    arrival_us: int
-    completion_us: int
-    attempts: int
-
-    @property
-    def latency_us(self) -> int:
-        return self.completion_us - self.arrival_us
-
-
-@dataclasses.dataclass(frozen=True)
-class ServingReport:
-    """Outcome of one simulated serving run."""
-
-    completed: tuple
-    shed: dict
-    retries: dict
-    device_failures: int
-    event_log: tuple
-    duration_us: int
-    device_busy_us: tuple
-    offered: int
-
-    @property
-    def completed_count(self) -> int:
-        return len(self.completed)
-
-    @property
-    def shed_count(self) -> int:
-        return sum(self.shed.values())
-
-    @property
-    def shed_rate(self) -> float:
-        """Fraction of offered requests that were not served."""
-        if self.offered == 0:
-            return 0.0
-        return self.shed_count / self.offered
-
-    def latencies_us(self) -> np.ndarray:
-        """Sorted end-to-end latencies of completed requests."""
-        return np.sort(
-            np.array([c.latency_us for c in self.completed], dtype=np.int64)
-        )
-
-    def latency_percentile_us(self, percentile: float) -> float:
-        """Nearest-rank percentile of completed end-to-end latency."""
-        return nearest_rank_percentile(self.latencies_us(), percentile)
-
-    def device_utilization(self) -> tuple:
-        """Per-device busy fraction over the whole run."""
-        horizon = max(self.duration_us, 1)
-        return tuple(busy / horizon for busy in self.device_busy_us)
-
-
-def generate_workload(
-    streams,
-    duration_us: int,
-    sequence_length: int,
-    vocab_size: int = 278,
-    seed: int = 0,
-) -> list:
-    """Seeded per-stream Poisson arrivals with random windows.
-
-    Each :class:`~repro.core.fleet.MonitoredStream` produces windows at
-    its ``windows_per_second`` rate with exponential inter-arrivals from
-    an RNG derived from ``(seed, stream index)`` — fully reproducible,
-    independent of stream order elsewhere.  Returns
-    :class:`ServingRequest` objects sorted by ``(arrival_us, stream)``
-    with dense request ids.
-    """
-    if duration_us <= 0:
-        raise ValueError(f"duration_us must be positive, got {duration_us}")
-    pending = []
-    for index, stream in enumerate(streams):
-        rng = np.random.default_rng([seed, index])
-        mean_gap_us = 1e6 / stream.windows_per_second
-        clock = 0.0
-        while True:
-            clock += rng.exponential(mean_gap_us)
-            arrival = int(round(clock))
-            if arrival >= duration_us:
-                break
-            sequence = rng.integers(0, vocab_size, size=sequence_length,
-                                    dtype=np.int64)
-            pending.append((arrival, stream.name, sequence))
-    pending.sort(key=lambda item: (item[0], item[1]))
-    return [
-        ServingRequest(request_id=i, stream=name, sequence=seq, arrival_us=arrival)
-        for i, (arrival, name, seq) in enumerate(pending)
-    ]
 
 
 @dataclasses.dataclass(frozen=True)
 class TokenArrival:
-    """One API-call token of one monitored stream (session-mode input)."""
+    """One API-call token of one monitored stream (the fleet's input)."""
 
     stream: str
     token: int
@@ -240,7 +119,7 @@ class TokenArrival:
 
 @dataclasses.dataclass(frozen=True)
 class StreamVerdictRecord:
-    """A window verdict emitted by the session-mode fleet.
+    """A window verdict emitted by the fleet.
 
     ``latency_us`` is arrival → delivery for the token that completed
     the window (-1 when the completing token is unknown, which only
@@ -258,7 +137,7 @@ class StreamVerdictRecord:
 
 @dataclasses.dataclass(frozen=True)
 class SessionServingReport:
-    """Outcome of one simulated session-mode (token-stream) serving run."""
+    """Outcome of one simulated token-stream serving run."""
 
     verdicts: tuple
     tokens_offered: int
@@ -304,13 +183,12 @@ def generate_token_workload(
     vocab_size: int = 278,
     seed: int = 0,
 ) -> list:
-    """Seeded per-stream Poisson token arrivals (session-mode workload).
+    """Seeded per-stream Poisson token arrivals.
 
-    The token-level sibling of :func:`generate_workload`: each stream
-    emits single API-call tokens at ``tokens_per_second`` with
-    exponential inter-arrivals from an RNG derived from ``(seed, stream
-    index)``.  Returns :class:`TokenArrival` sorted by
-    ``(arrival_us, stream)``.
+    Each stream emits single API-call tokens at ``tokens_per_second``
+    with exponential inter-arrivals from an RNG derived from ``(seed,
+    stream index)``, so adding a stream never perturbs the others.
+    Returns :class:`TokenArrival` sorted by ``(arrival_us, stream)``.
     """
     if duration_us <= 0:
         raise ValueError(f"duration_us must be positive, got {duration_us}")
@@ -336,28 +214,24 @@ def generate_token_workload(
 
 
 class _Device:
-    """One simulated drive: an engine, a bounded queue, a health flag."""
+    """One simulated drive: an engine, its sessions, a token buffer."""
 
     __slots__ = (
-        "index", "engine", "fault_plan", "service_us", "queue", "busy",
-        "dead", "current_batch", "batch_start_us", "busy_us", "batches",
-        "sessions", "token_buffer", "current_tick",
-        "buffer_streams", "wake_at",
+        "index", "engine", "fault_plan", "step_us", "busy", "dead",
+        "tick_start_us", "busy_us", "sessions", "token_buffer",
+        "buffer_streams", "wake_at", "current_tick",
     )
 
     def __init__(self, index: int, engine, fault_plan: FaultPlan):
         self.index = index
         self.engine = engine
         self.fault_plan = fault_plan
-        self.service_us = engine.sequence_microseconds()
-        self.queue: list = []
+        self.step_us = engine.per_item_microseconds()
         self.busy = False
         self.dead = False
-        self.current_batch = None   # (batch_id, [ServingRequest, ...])
-        self.batch_start_us = 0
+        self.tick_start_us = 0
         self.busy_us = 0
-        self.batches = 0
-        self.sessions = None        # SessionManager (session mode only)
+        self.sessions = None        # SessionManager, set by begin_tokens()
         self.token_buffer: list = []
         self.buffer_streams: dict = {}  # stream -> buffered-token count
         self.wake_at = None         # armed flush deadline, if any
@@ -375,7 +249,7 @@ class FleetServer:
     streams:
         The monitored streams (also the workload's rate model).
     config:
-        Batching/queueing/retry policy.
+        Tick and admission policy (:class:`ServingConfig`).
     planner:
         Optional :class:`~repro.core.fleet.FleetPlanner`; when given,
         streams are routed by its first-fit plan and device failures
@@ -471,22 +345,14 @@ class FleetServer:
 
         self._sim = Simulator()
         self._events: list = []
-        self._completed: list = []
-        self._shed: dict = {}
-        self._retries: dict = {}
         self._device_failures = 0
-        self._offered = 0
-        self._batch_counter = 0
-
-        # Session (token-stream) mode state; populated by begin_tokens().
-        self._token_mode = False
+        self._token_mode = False    # set by begin_tokens()
         self._tokens_offered = 0
         self._tokens_shed: dict = {}
         self._verdict_records: list = []
         self._token_latencies: list = []
         self._migrated_sessions = 0
         self._tick_counter = 0
-        self._token_step_us: dict = {}
         self._session_config: SessionConfig | None = None
         self._session_backend: str | None = None
 
@@ -530,176 +396,14 @@ class FleetServer:
             return self._routable_device(self._router(stream))
         return self._routable_device(self._stream_device.get(stream))
 
-    def _healthy_devices(self, exclude: int | None = None) -> list:
-        devices = [d for d in self.devices if not d.dead and d.index != exclude]
-        if not devices:  # fall back to the excluded device if it is all we have
-            devices = [d for d in self.devices if not d.dead]
-        return devices
-
     # ------------------------------------------------------------------
-    # Telemetry + event-log helpers (observation only)
+    # Event log (observation only)
     # ------------------------------------------------------------------
 
     def _log(self, kind: str, **details) -> None:
         self._events.append(
             (self._sim.now, kind, tuple(sorted(details.items())))
         )
-
-    def _set_queue_gauge(self, device: _Device) -> None:
-        if self.telemetry is not None:
-            self.telemetry.gauge(
-                "repro_serve_queue_depth", device=device.index
-            ).set(len(device.queue))
-
-    # ------------------------------------------------------------------
-    # Request lifecycle
-    # ------------------------------------------------------------------
-
-    def _arrive(self, request: ServingRequest) -> None:
-        self._offered += 1
-        if self.telemetry is not None:
-            self.telemetry.counter("repro_serve_requests_total").inc()
-        self._log("arrival", request=request.request_id, stream=request.stream)
-        device = self._route(request.stream)
-        if device is None:
-            self._shed_request(request, SHED_NO_DEVICE)
-            return
-        self._admit(device, request)
-
-    def _admit(self, device: _Device, request: ServingRequest) -> None:
-        if len(device.queue) >= self.config.queue_depth:
-            self._shed_request(request, SHED_QUEUE_FULL)
-            return
-        request.enqueued_us = self._sim.now
-        device.queue.append(request)
-        self._set_queue_gauge(device)
-        self._log("enqueue", request=request.request_id, device=device.index)
-        self._maybe_flush(device)
-
-    def _shed_request(self, request: ServingRequest, reason: str) -> None:
-        self._shed[reason] = self._shed.get(reason, 0) + 1
-        if self.telemetry is not None:
-            self.telemetry.counter("repro_serve_shed_total", reason=reason).inc()
-        self._log("shed", request=request.request_id, reason=reason)
-
-    def _retry(self, request: ServingRequest, reason: str,
-               exclude: int | None = None) -> None:
-        request.attempts += 1
-        if request.attempts > self.config.max_retries:
-            self._shed_request(request, SHED_RETRIES)
-            return
-        self._retries[reason] = self._retries.get(reason, 0) + 1
-        if self.telemetry is not None:
-            self.telemetry.counter("repro_serve_retries_total", reason=reason).inc()
-        self._log("retry", request=request.request_id, reason=reason)
-        candidates = self._healthy_devices(exclude=exclude)
-        if not candidates:
-            self._shed_request(request, SHED_NO_DEVICE)
-            return
-        target = min(candidates, key=lambda d: (len(d.queue), d.index))
-        self._admit(target, request)
-
-    # ------------------------------------------------------------------
-    # Dynamic batching
-    # ------------------------------------------------------------------
-
-    def _maybe_flush(self, device: _Device) -> None:
-        """Flush if the batching policy says so, else arm a deadline wake."""
-        if device.dead or device.busy or not device.queue:
-            return
-        now = self._sim.now
-        oldest_wait = now - device.queue[0].enqueued_us
-        if (len(device.queue) >= self.config.max_batch
-                or oldest_wait >= self.config.max_wait_us):
-            self._execute_batch(device)
-            return
-        wake_at = device.queue[0].enqueued_us + self.config.max_wait_us
-        self._sim.schedule(wake_at - now, lambda: self._maybe_flush(device))
-
-    def _execute_batch(self, device: _Device) -> None:
-        now = self._sim.now
-        batch: list = []
-        timed_out: list = []
-        while device.queue and len(batch) < self.config.max_batch:
-            request = device.queue.pop(0)
-            if now - request.enqueued_us >= self.config.timeout_us:
-                timed_out.append(request)
-            else:
-                batch.append(request)
-        self._set_queue_gauge(device)
-        if batch:
-            # Launch before processing retries: a retry may re-admit to
-            # this device, and the busy flag keeps that from re-entering
-            # the flush path mid-launch.
-            self._batch_counter += 1
-            batch_id = self._batch_counter
-            device.busy = True
-            device.current_batch = (batch_id, batch)
-            device.batch_start_us = now
-            slowdown = device.fault_plan.service_slowdown(now)
-            service_us = max(
-                1, math.ceil(len(batch) * device.service_us * slowdown)
-            )
-            self._log(
-                "batch_start", batch=batch_id, device=device.index,
-                size=len(batch), requests=tuple(r.request_id for r in batch),
-                service_us=service_us,
-            )
-            self._sim.schedule(
-                service_us, lambda: self._complete_batch(device, batch_id)
-            )
-        for request in timed_out:
-            self._retry(request, RETRY_TIMEOUT, exclude=device.index)
-        if not batch:
-            self._maybe_flush(device)  # everything timed out; look again
-
-    def _complete_batch(self, device: _Device, batch_id: int) -> None:
-        if device.dead or device.current_batch is None:
-            return  # aborted by a device failure
-        current_id, batch = device.current_batch
-        if current_id != batch_id:
-            return  # stale completion event
-        now = self._sim.now
-        sequences = np.stack([request.sequence for request in batch])
-        probabilities = device.engine.infer_batch(sequences).probabilities
-        device.busy = False
-        device.current_batch = None
-        device.busy_us += now - device.batch_start_us
-        device.batches += 1
-        for request, probability in zip(batch, probabilities):
-            record = CompletedRequest(
-                request_id=request.request_id,
-                stream=request.stream,
-                sequence=request.sequence,
-                device=device.index,
-                probability=float(probability),
-                arrival_us=request.arrival_us,
-                completion_us=now,
-                attempts=request.attempts,
-            )
-            self._completed.append(record)
-        if self.telemetry is not None:
-            telemetry = self.telemetry
-            telemetry.counter("repro_serve_completed_total").inc(len(batch))
-            telemetry.counter("repro_serve_batches_total").inc()
-            telemetry.histogram("repro_serve_batch_size").observe(len(batch))
-            for request in batch:
-                telemetry.histogram("repro_serve_latency_seconds").observe(
-                    (now - request.arrival_us) * 1e-6
-                )
-            telemetry.tracer.record(
-                "serve.batch", device.batch_start_us, now,
-                attributes={
-                    "device": device.index, "batch_size": len(batch),
-                    "unit": "us",
-                },
-            )
-        self._log(
-            "batch_complete", batch=batch_id, device=device.index,
-            requests=tuple(r.request_id for r in batch),
-            probabilities=tuple(float(p) for p in probabilities),
-        )
-        self._maybe_flush(device)
 
     # ------------------------------------------------------------------
     # Failure + failover
@@ -708,7 +412,6 @@ class FleetServer:
     def _fail_device(self, device: _Device) -> None:
         if device.dead:
             return
-        now = self._sim.now
         device.dead = True
         self._device_failures += 1
         if self.telemetry is not None:
@@ -719,25 +422,7 @@ class FleetServer:
                 self._on_device_failed(device.index)
         else:
             self._reroute_after_failure(device.index)
-        if device.sessions is not None:
-            self._failover_sessions(device)
-            return
-        orphans: list = []
-        if device.current_batch is not None:
-            batch_id, batch = device.current_batch
-            self._log(
-                "batch_abort", batch=batch_id, device=device.index,
-                requests=tuple(r.request_id for r in batch),
-            )
-            device.busy_us += now - device.batch_start_us
-            device.busy = False
-            device.current_batch = None
-            orphans.extend(batch)
-        orphans.extend(device.queue)
-        device.queue = []
-        self._set_queue_gauge(device)
-        for request in orphans:
-            self._retry(request, RETRY_FAILOVER, exclude=device.index)
+        self._failover_sessions(device)
 
     def _reroute_after_failure(self, failed_index: int) -> None:
         if self.planner is not None and self._plan is not None:
@@ -763,7 +448,7 @@ class FleetServer:
                     del self._stream_device[name]
 
     # ------------------------------------------------------------------
-    # Session (token-stream) mode
+    # Token lifecycle: admission, ticks, delivery
     # ------------------------------------------------------------------
 
     def _token_arrive(self, arrival: TokenArrival) -> None:
@@ -788,15 +473,16 @@ class FleetServer:
 
     def _shed_token(self, arrival: TokenArrival, reason: str) -> None:
         self._tokens_shed[reason] = self._tokens_shed.get(reason, 0) + 1
+        if self.telemetry is not None:
+            self.telemetry.counter("repro_serve_shed_total", reason=reason).inc()
         self._log("token_shed", stream=arrival.stream, reason=reason)
 
     def _maybe_flush_tokens(self, device: _Device) -> None:
         """Run a tick if the batching policy says so, else arm a wake.
 
-        The same policy shape as request-mode ``_maybe_flush``, counted
-        in *distinct streams*: a tick steps at most one token per stream
-        (per-stream order is sacred), so only cross-stream accumulation
-        widens the batched matmul.
+        The batch trigger counts *distinct streams*: a tick steps at most
+        one token per stream (per-stream order is sacred), so only
+        cross-stream accumulation widens the batched matmul.
         """
         if device.dead or device.busy or not device.token_buffer:
             return
@@ -848,20 +534,18 @@ class FleetServer:
                 streams[stream] = remaining
             else:
                 del streams[stream]
-        rows_before = device.sessions.stats()["slot_steps"]
+        rows_before = device.sessions.slot_steps
         verdicts = device.sessions.step(tick_tokens)
-        rows = device.sessions.stats()["slot_steps"] - rows_before
+        rows = device.sessions.slot_steps - rows_before
         self._tick_counter += 1
         tick_id = self._tick_counter
         device.busy = True
-        device.batch_start_us = now
+        device.tick_start_us = now
         device.current_tick = (tick_id, tick_arrivals, verdicts)
-        step_us = self._token_step_us.get(device.index)
-        if step_us is None:
-            step_us = device.engine.per_item_microseconds()
-            self._token_step_us[device.index] = step_us
         slowdown = device.fault_plan.service_slowdown(now)
-        service_us = max(1, math.ceil(max(rows, 1) * step_us * slowdown))
+        service_us = max(
+            1, math.ceil(max(rows, 1) * device.step_us * slowdown)
+        )
         self._log(
             "tick_start", tick=tick_id, device=device.index,
             streams=len(tick_arrivals), rows=rows, service_us=service_us,
@@ -879,8 +563,7 @@ class FleetServer:
         now = self._sim.now
         device.busy = False
         device.current_tick = None
-        device.busy_us += now - device.batch_start_us
-        device.batches += 1
+        device.busy_us += now - device.tick_start_us
         self._deliver_tick(device, tick_id, arrivals, verdicts)
         self._maybe_flush_tokens(device)
 
@@ -920,7 +603,7 @@ class FleetServer:
         stream's re-routed device, along with the buffered tokens.
         """
         if device.current_tick is not None:
-            device.busy_us += self._sim.now - device.batch_start_us
+            device.busy_us += self._sim.now - device.tick_start_us
             device.busy = False
             tick_id, arrivals, verdicts = device.current_tick
             device.current_tick = None
@@ -950,7 +633,7 @@ class FleetServer:
 
     def begin_tokens(self, sessions: SessionConfig | None = None,
                      backend: str | None = None) -> None:
-        """Enter session (token-stream) mode without running anything yet.
+        """Start the token path without running anything yet.
 
         Gives every device a fresh
         :class:`~repro.core.sessions.SessionManager` and schedules the
@@ -1004,7 +687,7 @@ class FleetServer:
 
     def finish_tokens(self, max_events: int | None = 1_000_000
                       ) -> SessionServingReport:
-        """Drain remaining events and build the session-mode report."""
+        """Drain remaining events and build the serving report."""
         if not self._token_mode:
             raise RuntimeError("call begin_tokens first")
         duration = self._sim.run(max_events=max_events)
@@ -1030,15 +713,14 @@ class FleetServer:
     def serve_tokens(self, arrivals,
                      sessions: SessionConfig | None = None,
                      backend: str | None = None) -> SessionServingReport:
-        """Run the session-mode simulation over a token-arrival schedule.
+        """Run the simulation over a token-arrival schedule.
 
         Each device runs a :class:`~repro.core.sessions.SessionManager`
-        over its affine streams (the same stream→device routing the
-        request path uses), stepping one buffered token per stream per
-        tick through one stacked batched matmul.  Device failures
+        over its affine streams, stepping one buffered token per stream
+        per tick through one stacked batched matmul.  Device failures
         migrate session checkpoints to the re-routed devices, so
-        monitoring continues without losing window state.  Deterministic
-        like :meth:`serve`: one seed → identical event logs and verdicts.
+        monitoring continues without losing window state.
+        Deterministic: one seed → identical event logs and verdicts.
 
         ``backend`` overrides the per-device kernel backend (see
         :mod:`repro.core.kernels.backends`); ``None`` uses each engine's
@@ -1065,7 +747,7 @@ class FleetServer:
         return self._verdict_records
 
     # ------------------------------------------------------------------
-    # Session-mode response actions (quarantine / kill)
+    # Response actions (quarantine / kill)
     # ------------------------------------------------------------------
 
     @property
@@ -1113,11 +795,11 @@ class FleetServer:
         self._log("stream_killed", stream=stream)
 
     # ------------------------------------------------------------------
-    # Session-mode fleet membership (drain / standby / rebalance)
+    # Fleet membership (drain / standby / rebalance)
     # ------------------------------------------------------------------
 
     def drain_device(self, index: int) -> int:
-        """Gracefully take a session-mode device out of service.
+        """Gracefully take a device out of service.
 
         The same state hand-off as a failure — the in-flight tick's
         verdicts deliver (the step ran at launch), every held session
@@ -1132,7 +814,7 @@ class FleetServer:
         if device.dead:
             return 0
         if device.sessions is None:
-            raise RuntimeError("drain_device requires session (token) mode")
+            raise RuntimeError("call begin_tokens first")
         device.dead = True
         self._log("device_drained", device=device.index)
         if self._router is None:
@@ -1156,9 +838,9 @@ class FleetServer:
     def restore_device(self, index: int) -> None:
         """Return a drained/standby device to service, state reset.
 
-        In session mode the device comes back with a fresh
-        :class:`~repro.core.sessions.SessionManager` (post-upgrade, a
-        real drive boots empty); the caller routes shards back to it.
+        Once :meth:`begin_tokens` has run, the device comes back with a
+        fresh :class:`~repro.core.sessions.SessionManager` (post-upgrade,
+        a real drive boots empty); the caller routes shards back to it.
         """
         device = self.devices[index]
         if not device.dead:
@@ -1188,7 +870,7 @@ class FleetServer:
         source = self.devices[from_index]
         target = self.devices[to_index]
         if source.sessions is None or target.sessions is None:
-            raise RuntimeError("migrate_streams requires session (token) mode")
+            raise RuntimeError("call begin_tokens first")
         if target.dead:
             raise ValueError(f"target device {to_index} is out of service")
         wanted = set(streams)
@@ -1219,46 +901,6 @@ class FleetServer:
             for _, arrival in moving:
                 self._buffer_token(target, arrival)
         return moved
-
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
-
-    def serve(self, requests) -> ServingReport:
-        """Run the full simulation over ``requests``; returns the report.
-
-        Every request is resolved by the end of the run — completed, or
-        shed with an explicit reason — because all wake-ups are
-        scheduled on the event queue and the simulator drains it.
-        """
-        requests = sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
-        for device in self.devices:
-            fail = device.fault_plan.device_fail
-            if fail is not None:
-                self._sim.schedule(
-                    fail.at_us, (lambda d: lambda: self._fail_device(d))(device)
-                )
-        for request in requests:
-            self._sim.schedule(
-                request.arrival_us, (lambda r: lambda: self._arrive(r))(request)
-            )
-        duration = self._sim.run()
-        if self.telemetry is not None:
-            horizon = max(duration, 1)
-            for device in self.devices:
-                self.telemetry.gauge(
-                    "repro_serve_device_utilization", device=device.index
-                ).set(device.busy_us / horizon)
-        return ServingReport(
-            completed=tuple(self._completed),
-            shed=dict(self._shed),
-            retries=dict(self._retries),
-            device_failures=self._device_failures,
-            event_log=tuple(self._events),
-            duration_us=duration,
-            device_busy_us=tuple(d.busy_us for d in self.devices),
-            offered=self._offered,
-        )
 
 
 def build_fleet(weights, num_devices: int, config=None) -> list:

@@ -468,6 +468,11 @@ class SessionManager:
         """Bytes retained by the checkpoint store (budgeted separately)."""
         return self._checkpoint_bytes
 
+    @property
+    def slot_steps(self) -> int:
+        """Slot rows stepped so far (the batched matmul's total rows)."""
+        return self._slot_steps
+
     def known_keys(self) -> tuple:
         """Every session key currently held, resident or checkpointed."""
         keys = list(self._resident)

@@ -1,16 +1,19 @@
-"""Tests for the fleet serving simulator.
+"""Tests for the fleet serving simulator: routing, admission, failover.
 
 The simulator's contract has three load-bearing clauses:
 
-* **Determinism** — one seed produces *identical* event logs, scores,
-  and telemetry across runs (everything lives on the simulated clock);
-* **Bit-exactness** — a batch served through the queueing/batching
-  machinery scores exactly what :meth:`CSDInferenceEngine.infer_batch`
-  returns for the same windows;
-* **Accounting** — every offered request ends the run either completed
-  or shed with an explicit reason; nothing is silently dropped.
+* **Determinism** — one seed produces *identical* event logs, verdicts,
+  and telemetry across runs (everything lives on the simulated clock;
+  see ``test_serving_sessions.py::TestDeterminism``);
+* **Bit-exactness** — a window verdict served through the fleet's token
+  buffering and ticks scores exactly what
+  :meth:`CSDInferenceEngine.infer_batch` returns for the same window;
+* **Accounting** — every offered token ends the run either stepped
+  (it has a latency) or shed with an explicit reason; nothing is
+  silently dropped.
 """
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -19,17 +22,18 @@ import pytest
 from repro.core.config import EngineConfig, OptimizationLevel
 from repro.core.fleet import FleetPlanner, MonitoredStream
 from repro.core.serving import (
-    RETRY_FAILOVER,
-    RETRY_TIMEOUT,
+    SHED_NO_DEVICE,
+    SHED_QUARANTINED,
     SHED_QUEUE_FULL,
-    CompletedRequest,
     FleetServer,
     ServingConfig,
-    ServingReport,
-    ServingRequest,
+    SessionServingReport,
+    StreamVerdictRecord,
+    TokenArrival,
     build_fleet,
-    generate_workload,
+    generate_token_workload,
 )
+from repro.core.sessions import SessionConfig
 from repro.core.throughput import throughput_report
 from repro.core.weights import HostWeights
 from repro.hw.faults import DeviceDegradeFault, DeviceFailFault, FaultPlan
@@ -37,6 +41,7 @@ from repro.telemetry import Telemetry
 
 SEQUENCE_LENGTH = 30
 DURATION_US = 30_000
+STRIDE = 10
 
 
 @pytest.fixture(scope="module")
@@ -54,11 +59,22 @@ def make_engines(weights, count, level=OptimizationLevel.FIXED_POINT):
     return build_fleet(weights, count, config=config)
 
 
-def make_streams(count, calls_per_second=10_000.0, stride=10):
+def make_streams(count, calls_per_second=10_000.0, stride=STRIDE):
     return [
         MonitoredStream(f"s{i}", calls_per_second, detection_stride=stride)
         for i in range(count)
     ]
+
+
+def make_workload(streams, duration_us=DURATION_US, seed=0):
+    return generate_token_workload(
+        streams, duration_us, streams[0].api_calls_per_second, seed=seed
+    )
+
+
+def serve(engines, streams, arrivals, config=None, **server_kwargs):
+    server = FleetServer(engines, streams, config, **server_kwargs)
+    return server.serve_tokens(arrivals, sessions=SessionConfig(stride=STRIDE))
 
 
 def event_details(event):
@@ -67,237 +83,186 @@ def event_details(event):
 
 
 def assert_accounting(report):
-    assert report.completed_count + report.shed_count == report.offered
+    assert len(report.token_latencies) + report.shed_count == (
+        report.tokens_offered
+    )
+
+
+def shed_counters(telemetry) -> dict:
+    return {
+        event["labels"]["reason"]: event["value"]
+        for event in telemetry.events()
+        if event["name"] == "repro_serve_shed_total"
+    }
+
+
+def burst(count, stream="s0"):
+    return [
+        TokenArrival(stream=stream, token=i % 278, arrival_us=0)
+        for i in range(count)
+    ]
 
 
 class TestWorkloadGeneration:
-    def test_deterministic_and_sorted(self):
-        streams = make_streams(3)
-        first = generate_workload(streams, DURATION_US, SEQUENCE_LENGTH, seed=4)
-        second = generate_workload(streams, DURATION_US, SEQUENCE_LENGTH, seed=4)
-        assert len(first) == len(second) > 0
-        for a, b in zip(first, second):
-            assert a.arrival_us == b.arrival_us
-            assert a.stream == b.stream
-            assert np.array_equal(a.sequence, b.sequence)
-        arrivals = [r.arrival_us for r in first]
-        assert arrivals == sorted(arrivals)
-        assert [r.request_id for r in first] == list(range(len(first)))
-
     def test_independent_of_stream_order(self):
         # Each stream's RNG derives from (seed, index), so adding a
         # stream must not disturb the arrivals of existing ones.
-        base = generate_workload(make_streams(2), DURATION_US, 10, seed=9)
-        wider = generate_workload(make_streams(3), DURATION_US, 10, seed=9)
-        base_s0 = [(r.arrival_us, tuple(r.sequence)) for r in base if r.stream == "s0"]
-        wide_s0 = [(r.arrival_us, tuple(r.sequence)) for r in wider if r.stream == "s0"]
-        assert base_s0 == wide_s0
-
-    def test_rejects_bad_duration(self):
-        with pytest.raises(ValueError):
-            generate_workload(make_streams(1), 0, SEQUENCE_LENGTH)
-
-
-class TestDeterminism:
-    def _run(self, weights):
-        engines = make_engines(weights, 2)
-        streams = make_streams(4)
-        fault_plans = {
-            0: FaultPlan(device_fail=DeviceFailFault(at_us=DURATION_US // 2)),
-            1: FaultPlan(
-                device_degrade=DeviceDegradeFault(at_us=DURATION_US // 3,
-                                                  slowdown=2.0)
-            ),
-        }
-        telemetry = Telemetry()
-        server = FleetServer(
-            engines, streams, ServingConfig(max_batch=8, max_wait_us=500),
-            fault_plans=fault_plans, telemetry=telemetry,
-        )
-        workload = generate_workload(
-            streams, DURATION_US, SEQUENCE_LENGTH, seed=3
-        )
-        return server.serve(workload), telemetry
-
-    def test_same_seed_identical_runs(self, fleet_weights):
-        first, telemetry_a = self._run(fleet_weights)
-        second, telemetry_b = self._run(fleet_weights)
-        assert first.event_log == second.event_log
-        assert first.shed == second.shed
-        assert first.retries == second.retries
-        assert first.device_busy_us == second.device_busy_us
-        assert [c.probability for c in first.completed] == [
-            c.probability for c in second.completed
-        ]
-        assert telemetry_a.events() == telemetry_b.events()
-
-    def test_simulated_clock_only(self, fleet_weights):
-        report, _ = self._run(fleet_weights)
-        assert all(isinstance(e[0], int) for e in report.event_log)
-        times = [e[0] for e in report.event_log]
-        assert times == sorted(times)
+        base = make_workload(make_streams(2), seed=9)
+        wider = make_workload(make_streams(3), seed=9)
+        base_s0 = [(a.arrival_us, a.token) for a in base if a.stream == "s0"]
+        wide_s0 = [(a.arrival_us, a.token) for a in wider if a.stream == "s0"]
+        assert base_s0 and base_s0 == wide_s0
 
 
 class TestBitExactness:
     def test_served_batches_match_direct_infer_batch(self, fleet_weights):
-        engines = make_engines(fleet_weights, 2)
+        """Every served verdict equals ``infer_batch`` on its window."""
         streams = make_streams(3)
-        workload = generate_workload(streams, DURATION_US, SEQUENCE_LENGTH, seed=1)
-        by_id = {r.request_id: r.sequence for r in workload}
-        server = FleetServer(
-            engines, streams, ServingConfig(max_batch=8, max_wait_us=500)
+        workload = make_workload(streams, seed=1)
+        report = serve(
+            make_engines(fleet_weights, 2), streams, workload,
+            ServingConfig(max_batch=8, max_wait_us=500, queue_depth=4096),
         )
-        report = server.serve(workload)
+        assert report.shed_count == 0
         reference = make_engines(fleet_weights, 1)[0]
-        batches = [
-            event_details(e)[2] for e in report.event_log
-            if e[1] == "batch_complete"
-        ]
-        assert batches, "no batches completed"
-        for details in batches:
-            sequences = np.stack([by_id[rid] for rid in details["requests"]])
-            direct = reference.infer_batch(sequences).probabilities
-            assert tuple(float(p) for p in direct) == details["probabilities"]
+        for stream in streams:
+            tokens = [a.token for a in workload if a.stream == stream.name]
+            served = [v for v in report.verdicts if v.stream == stream.name]
+            assert served, f"{stream.name} completed no window"
+            windows = np.array([
+                tokens[v.window_index:v.window_index + SEQUENCE_LENGTH]
+                for v in served
+            ], dtype=np.int64)
+            direct = reference.infer_batch(windows).probabilities
+            assert [v.probability for v in served] == [float(p) for p in direct]
+            assert [v.window_index for v in served] == list(
+                range(0, STRIDE * len(served), STRIDE)
+            )
 
-    def test_completed_probabilities_match_event_log(self, fleet_weights):
-        engines = make_engines(fleet_weights, 1)
+    def test_verdicts_match_event_log(self, fleet_weights):
         streams = make_streams(2)
-        workload = generate_workload(streams, DURATION_US, SEQUENCE_LENGTH, seed=2)
-        report = FleetServer(engines, streams).serve(workload)
-        logged = {}
+        report = serve(make_engines(fleet_weights, 1), streams,
+                       make_workload(streams, seed=2))
+        logged = collections.Counter()
         for event in report.event_log:
-            _, kind, details = event_details(event)
-            if kind == "batch_complete":
-                logged.update(zip(details["requests"], details["probabilities"]))
-        for completed in report.completed:
-            assert logged[completed.request_id] == completed.probability
+            time_us, kind, details = event_details(event)
+            if kind == "tick_complete":
+                logged[(time_us, details["device"])] += details["verdicts"]
+        delivered = collections.Counter(
+            (v.completion_us, v.device) for v in report.verdicts
+        )
+        assert report.verdicts
+        assert +logged == delivered
 
 
 class TestAdmissionControl:
-    def _burst(self, count):
-        rng = np.random.default_rng(0)
-        return [
-            ServingRequest(
-                request_id=i, stream="s0",
-                sequence=rng.integers(0, 278, size=SEQUENCE_LENGTH,
-                                      dtype=np.int64),
-                arrival_us=0,
-            )
-            for i in range(count)
-        ]
+    """Every shed is counted by reason, in the report and in
+    ``repro_serve_shed_total{reason}`` alike."""
 
     def test_queue_full_sheds_excess(self, fleet_weights):
-        engines = make_engines(fleet_weights, 1)
-        server = FleetServer(
-            engines, make_streams(1),
-            ServingConfig(max_batch=1, max_wait_us=0, queue_depth=2,
-                          max_retries=0),
+        telemetry = Telemetry()
+        report = serve(
+            make_engines(fleet_weights, 1), make_streams(1), burst(10),
+            ServingConfig(max_batch=1, max_wait_us=0, queue_depth=2),
+            telemetry=telemetry,
         )
-        report = server.serve(self._burst(10))
-        assert report.shed.get(SHED_QUEUE_FULL, 0) > 0
-        assert report.completed_count > 0
+        assert set(report.tokens_shed) == {SHED_QUEUE_FULL}
+        assert shed_counters(telemetry) == report.tokens_shed
+        assert report.token_latencies
         assert_accounting(report)
 
     def test_generous_queue_sheds_nothing(self, fleet_weights):
-        engines = make_engines(fleet_weights, 1)
-        server = FleetServer(
-            engines, make_streams(1),
+        report = serve(
+            make_engines(fleet_weights, 1), make_streams(1), burst(10),
             ServingConfig(max_batch=16, max_wait_us=100, queue_depth=64),
         )
-        report = server.serve(self._burst(10))
-        assert report.shed == {}
-        assert report.completed_count == report.offered == 10
+        assert report.tokens_shed == {}
+        assert len(report.token_latencies) == report.tokens_offered == 10
+
+    def test_quarantined_and_no_device_sheds_counted(self, fleet_weights):
+        streams = make_streams(2)
+        telemetry = Telemetry()
+        server = FleetServer(
+            make_engines(fleet_weights, 1), streams, telemetry=telemetry,
+            fault_plans={0: FaultPlan(device_fail=DeviceFailFault(at_us=20_000))},
+        )
+        server.begin_tokens(sessions=SessionConfig(stride=STRIDE))
+        server.quarantine_stream("s0")
+        server.ingest_tokens(make_workload(streams, seed=4))
+        report = server.finish_tokens()
+        assert set(report.tokens_shed) == {SHED_QUARANTINED, SHED_NO_DEVICE}
+        assert shed_counters(telemetry) == report.tokens_shed
+        assert_accounting(report)
 
 
 class TestFailover:
     def test_device_failure_fails_over(self, fleet_weights):
-        engines = make_engines(fleet_weights, 2)
-        # Dense traffic (~250 us inter-arrival per stream) so device 0's
-        # queue is non-empty at the kill instant and failover fires.
         streams = make_streams(4, calls_per_second=40_000.0)
         kill_at = DURATION_US // 2
-        fault_plans = {0: FaultPlan(device_fail=DeviceFailFault(at_us=kill_at))}
-        workload = generate_workload(streams, DURATION_US, SEQUENCE_LENGTH, seed=6)
-        report = FleetServer(
-            engines, streams, ServingConfig(max_batch=8, max_wait_us=500),
-            fault_plans=fault_plans,
-        ).serve(workload)
+        report = serve(
+            make_engines(fleet_weights, 2), streams,
+            make_workload(streams, seed=6),
+            ServingConfig(max_batch=8, max_wait_us=500),
+            fault_plans={0: FaultPlan(device_fail=DeviceFailFault(at_us=kill_at))},
+        )
         assert report.device_failures == 1
-        assert report.retries.get(RETRY_FAILOVER, 0) > 0
-        late = [c for c in report.completed if c.completion_us > kill_at]
-        assert late and all(c.device == 1 for c in late)
+        assert report.migrated_sessions > 0
+        late = [v for v in report.verdicts if v.completion_us > kill_at]
+        assert late and all(v.device == 1 for v in late)
         assert_accounting(report)
 
     def test_planner_rebalance_used_on_failure(self, fleet_weights):
         engines = make_engines(fleet_weights, 2)
         streams = make_streams(4, calls_per_second=5_000.0)
         planner = FleetPlanner(throughput_report(engines[0]), headroom=0.9)
-        fault_plans = {0: FaultPlan(device_fail=DeviceFailFault(at_us=10_000))}
-        workload = generate_workload(streams, DURATION_US, SEQUENCE_LENGTH, seed=6)
-        report = FleetServer(
-            engines, streams, ServingConfig(max_batch=8, max_wait_us=500),
-            planner=planner, fault_plans=fault_plans,
-        ).serve(workload)
+        assert planner.plan(streams).devices_needed == 1
+        kill_at = 10_000
+        report = serve(
+            engines, streams, make_workload(streams, seed=6),
+            ServingConfig(max_batch=8, max_wait_us=500),
+            planner=planner,
+            fault_plans={0: FaultPlan(device_fail=DeviceFailFault(at_us=kill_at))},
+        )
         assert report.device_failures == 1
-        late = [c for c in report.completed if c.completion_us > 10_000]
-        assert late and all(c.device == 1 for c in late)
+        # First-fit packs every stream onto device 0 (round-robin would
+        # split them); the rebalance moves all four sessions to device 1.
+        early = [v for v in report.verdicts if v.completion_us <= kill_at]
+        late = [v for v in report.verdicts if v.completion_us > kill_at]
+        assert early and all(v.device == 0 for v in early)
+        assert late and all(v.device == 1 for v in late)
+        assert report.migrated_sessions == 4
         assert_accounting(report)
 
     def test_all_devices_dead_sheds_remaining(self, fleet_weights):
-        engines = make_engines(fleet_weights, 1)
         streams = make_streams(2)
-        fault_plans = {0: FaultPlan(device_fail=DeviceFailFault(at_us=5_000))}
-        workload = generate_workload(streams, DURATION_US, SEQUENCE_LENGTH, seed=8)
-        report = FleetServer(
-            engines, streams, fault_plans=fault_plans
-        ).serve(workload)
+        workload = make_workload(streams, seed=8)
+        report = serve(
+            make_engines(fleet_weights, 1), streams, workload,
+            fault_plans={0: FaultPlan(device_fail=DeviceFailFault(at_us=5_000))},
+        )
         assert report.device_failures == 1
-        assert report.shed_count > 0
-        late_arrivals = [r for r in workload if r.arrival_us > 5_000]
+        assert report.tokens_shed.get(SHED_NO_DEVICE, 0) > 0
+        late_arrivals = [a for a in workload if a.arrival_us > 5_000]
         assert late_arrivals  # the scenario exercised the dead-fleet path
         assert_accounting(report)
 
     def test_degraded_device_slows_service(self, fleet_weights):
         streams = make_streams(2)
         config = ServingConfig(max_batch=8, max_wait_us=500)
-        workload = lambda: generate_workload(
-            streams, DURATION_US, SEQUENCE_LENGTH, seed=5
+        healthy = serve(
+            make_engines(fleet_weights, 1), streams,
+            make_workload(streams, seed=5), config,
         )
-        healthy = FleetServer(
-            make_engines(fleet_weights, 1), streams, config
-        ).serve(workload())
-        degraded = FleetServer(
-            make_engines(fleet_weights, 1), streams, config,
+        degraded = serve(
+            make_engines(fleet_weights, 1), streams,
+            make_workload(streams, seed=5), config,
             fault_plans={0: FaultPlan(
                 device_degrade=DeviceDegradeFault(at_us=0, slowdown=4.0)
             )},
-        ).serve(workload())
+        )
         assert degraded.device_busy_us[0] > healthy.device_busy_us[0]
-        assert (degraded.latency_percentile_us(50)
-                > healthy.latency_percentile_us(50))
-
-
-class TestTimeoutRetry:
-    def test_timed_out_requests_retry_elsewhere(self, fleet_weights):
-        engines = make_engines(fleet_weights, 2)
-        streams = make_streams(2, calls_per_second=20_000.0)
-        # Device 0 is catastrophically slow from the start; its queued
-        # requests blow the per-attempt deadline and must finish on 1.
-        fault_plans = {0: FaultPlan(
-            device_degrade=DeviceDegradeFault(at_us=0, slowdown=200.0)
-        )}
-        workload = generate_workload(streams, DURATION_US, SEQUENCE_LENGTH, seed=7)
-        report = FleetServer(
-            engines, streams,
-            ServingConfig(max_batch=4, max_wait_us=200, timeout_us=2_000,
-                          max_retries=2),
-            fault_plans=fault_plans,
-        ).serve(workload)
-        assert report.retries.get(RETRY_TIMEOUT, 0) > 0
-        rescued = [c for c in report.completed
-                   if c.stream == "s0" and c.device == 1]
-        assert rescued
-        assert_accounting(report)
+        assert (degraded.token_latency_percentile_us(50)
+                > healthy.token_latency_percentile_us(50))
 
 
 class TestOversubscribedPlan:
@@ -307,20 +272,14 @@ class TestOversubscribedPlan:
         budget = planner.capacity * planner.headroom
         # Two streams at 60% of one device's budget: the plan wants two
         # devices, the fleet has one — both streams must still route.
-        stride = 10
-        streams = [
-            MonitoredStream(f"s{i}", budget * 0.6 * stride, detection_stride=stride)
-            for i in range(2)
-        ]
-        plan = planner.plan(streams)
-        assert plan.devices_needed == 2
-        workload = generate_workload(streams, 10_000, SEQUENCE_LENGTH, seed=4)
-        report = FleetServer(
-            engines, streams, ServingConfig(max_batch=16, max_wait_us=200),
+        streams = make_streams(2, calls_per_second=budget * 0.6 * STRIDE)
+        assert planner.plan(streams).devices_needed == 2
+        report = serve(
+            engines, streams, make_workload(streams, duration_us=10_000, seed=4),
+            ServingConfig(max_batch=16, max_wait_us=200),
             planner=planner,
-        ).serve(workload)
-        served_streams = {c.stream for c in report.completed}
-        assert served_streams == {"s0", "s1"}
+        )
+        assert {v.stream for v in report.verdicts} == {"s0", "s1"}
         assert_accounting(report)
 
 
@@ -329,8 +288,6 @@ class TestConfigValidation:
         {"max_batch": 0},
         {"max_wait_us": -1},
         {"queue_depth": 0},
-        {"timeout_us": 0},
-        {"max_retries": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -343,44 +300,51 @@ class TestConfigValidation:
 
 class TestReport:
     def _report(self, latencies):
-        completed = tuple(
-            CompletedRequest(
-                request_id=i, stream="s", sequence=np.zeros(1, dtype=np.int64),
-                device=0, probability=0.5, arrival_us=0, completion_us=lat,
-                attempts=0,
+        verdicts = tuple(
+            StreamVerdictRecord(
+                stream="s", window_index=i, probability=0.5,
+                is_ransomware=False, device=0, completion_us=lat,
+                latency_us=lat,
             )
             for i, lat in enumerate(latencies)
         )
-        return ServingReport(
-            completed=completed, shed={}, retries={}, device_failures=0,
-            event_log=(), duration_us=1000, device_busy_us=(500,),
-            offered=len(latencies),
+        return SessionServingReport(
+            verdicts=verdicts, tokens_offered=len(latencies) + 2,
+            tokens_shed={SHED_QUEUE_FULL: 2}, migrated_sessions=0,
+            device_failures=0, event_log=(), duration_us=1000,
+            device_busy_us=(500,), token_latencies=tuple(latencies),
+            session_stats=(),
         )
 
     def test_nearest_rank_percentiles(self):
         report = self._report([10, 20, 30, 40, 50, 60, 70, 80, 90, 100])
-        assert report.latency_percentile_us(50) == 50.0
-        assert report.latency_percentile_us(99) == 100.0
-        assert report.latency_percentile_us(100) == 100.0
-        assert report.latency_percentile_us(1) == 10.0
+        assert report.verdict_latency_percentile_us(50) == 50.0
+        assert report.verdict_latency_percentile_us(99) == 100.0
+        assert report.verdict_latency_percentile_us(100) == 100.0
+        assert report.verdict_latency_percentile_us(1) == 10.0
+        assert report.verdict_count == 10
+        assert report.shed_count == 2
 
     def test_percentile_bounds(self):
         report = self._report([10])
-        with pytest.raises(ValueError):
-            report.latency_percentile_us(0)
-        with pytest.raises(ValueError):
-            report.latency_percentile_us(101)
+        for percentile_us in (report.verdict_latency_percentile_us,
+                              report.token_latency_percentile_us):
+            with pytest.raises(ValueError):
+                percentile_us(0)
+            with pytest.raises(ValueError):
+                percentile_us(101)
 
     def test_empty_report(self):
         report = self._report([])
-        assert np.isnan(report.latency_percentile_us(50))
-        assert report.shed_rate == 0.0
+        assert np.isnan(report.verdict_latency_percentile_us(50))
+        assert np.isnan(report.token_latency_percentile_us(50))
+        assert report.verdict_count == 0
         assert report.device_utilization() == (0.5,)
 
 
 class TestNearestRankPercentile:
-    """The one shared nearest-rank implementation (it was once duplicated
-    between the request-mode and session-mode reports)."""
+    """The one nearest-rank implementation the serving and control-plane
+    reports share."""
 
     def test_boundaries(self):
         from repro.core.serving import nearest_rank_percentile
@@ -410,8 +374,6 @@ class TestNearestRankPercentile:
                 nearest_rank_percentile(np.array([1.0]), bad)
 
     def test_session_report_shares_the_helper(self):
-        from repro.core.serving import SessionServingReport
-
         report = SessionServingReport(
             verdicts=(), tokens_offered=3, tokens_shed={},
             migrated_sessions=0, device_failures=0, event_log=(),

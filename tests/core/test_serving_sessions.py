@@ -1,9 +1,9 @@
-"""Session-mode (token-stream) fleet serving tests.
+"""Token-stream fleet serving tests.
 
-The contract mirrors the request-mode server's, plus session affinity:
+The fleet's contract, plus session affinity:
 
 * **Determinism** — one token schedule produces identical event logs,
-  verdicts, and session stats across runs;
+  verdicts, session stats and telemetry across runs, faults included;
 * **Parity** — a stream served through the fleet's buffering/tick
   machinery produces the identical verdict sequence a standalone
   :class:`SessionManager` produces for the same tokens (and therefore
@@ -30,8 +30,9 @@ from repro.core.serving import (
 )
 from repro.core.sessions import SessionConfig, SessionManager
 from repro.core.weights import HostWeights
-from repro.hw.faults import DeviceFailFault, FaultPlan
+from repro.hw.faults import DeviceDegradeFault, DeviceFailFault, FaultPlan
 from repro.nn.model import SequenceClassifier
+from repro.telemetry import Telemetry
 
 WINDOW = 12
 VOCAB = 278
@@ -98,7 +99,43 @@ class TestTokenWorkload:
             generate_token_workload(make_streams(1), 100, 0.0)
 
 
+def faulted_run():
+    """Device 0 fails mid-run, device 1 degrades; telemetry attached."""
+    duration_us = 30_000
+    streams = make_streams(4)
+    telemetry = Telemetry()
+    server = FleetServer(
+        make_engines(2), streams, ServingConfig(max_batch=8, max_wait_us=500),
+        fault_plans={
+            0: FaultPlan(device_fail=DeviceFailFault(at_us=duration_us // 2)),
+            1: FaultPlan(device_degrade=DeviceDegradeFault(
+                at_us=duration_us // 3, slowdown=2.0)),
+        },
+        telemetry=telemetry,
+    )
+    arrivals = generate_token_workload(streams, duration_us, 10_000.0, seed=3)
+    return server.serve_tokens(arrivals, sessions=SessionConfig(stride=2)), telemetry
+
+
 class TestDeterminism:
+    def test_faults_and_telemetry_identical_runs(self):
+        first, telemetry_a = faulted_run()
+        second, telemetry_b = faulted_run()
+        assert first.device_failures == 1
+        assert first.migrated_sessions > 0
+        assert first.event_log == second.event_log
+        assert first.verdicts == second.verdicts
+        assert first.tokens_shed == second.tokens_shed
+        assert first.device_busy_us == second.device_busy_us
+        assert first.token_latencies == second.token_latencies
+        assert telemetry_a.events() == telemetry_b.events()
+
+    def test_simulated_clock_only(self):
+        report, _ = faulted_run()
+        assert all(isinstance(e[0], int) for e in report.event_log)
+        times = [e[0] for e in report.event_log]
+        assert times == sorted(times)
+
     def test_identical_runs(self):
         streams = make_streams(4)
         arrivals = dense_schedule(streams, 2 * WINDOW)
