@@ -104,6 +104,19 @@ def burst(count, stream="s0"):
 
 
 class TestWorkloadGeneration:
+    def test_deterministic_and_sorted(self):
+        streams = make_streams(3)
+        first = make_workload(streams, seed=4)
+        second = make_workload(streams, seed=4)
+        assert len(first) == len(second) > 0
+        for a, b in zip(first, second):
+            assert a.arrival_us == b.arrival_us
+            assert a.stream == b.stream
+            assert a.token == b.token
+        keys = [(a.arrival_us, a.stream) for a in first]
+        assert keys == sorted(keys)
+        assert {a.stream for a in first} == {s.name for s in streams}
+
     def test_independent_of_stream_order(self):
         # Each stream's RNG derives from (seed, index), so adding a
         # stream must not disturb the arrivals of existing ones.
@@ -112,6 +125,12 @@ class TestWorkloadGeneration:
         base_s0 = [(a.arrival_us, a.token) for a in base if a.stream == "s0"]
         wide_s0 = [(a.arrival_us, a.token) for a in wider if a.stream == "s0"]
         assert base_s0 and base_s0 == wide_s0
+
+    def test_rejects_bad_duration(self):
+        with pytest.raises(ValueError):
+            make_workload(make_streams(1), duration_us=0)
+        with pytest.raises(ValueError):
+            make_workload(make_streams(1), duration_us=-DURATION_US)
 
 
 class TestBitExactness:
