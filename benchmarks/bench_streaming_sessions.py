@@ -23,19 +23,16 @@ Two entry points:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 
 import numpy as np
 
-from repro.core.config import OptimizationLevel
-from repro.core.engine import engine_at_level
-from repro.core.kernels.backends import (
-    DEFAULT_BACKEND,
-    available_backends,
-    resolve_backend,
-)
+from repro.core.config import DEFAULT_BACKEND, OptimizationLevel
+from repro.core.engine import CSDInferenceEngine, engine_at_level
+from repro.core.kernels.backends import available_backends
 from repro.core.sessions import SessionConfig, SessionManager
 from repro.nn.model import SequenceClassifier
 from repro.ransomware.detector import RansomwareDetector
@@ -52,14 +49,12 @@ def _keys(num_streams: int) -> list:
     return [f"stream-{index:04d}" for index in range(num_streams)]
 
 
-def _run_incremental(engine, tokens, stride: int, max_resident=None,
-                     backend=None):
+def _run_incremental(engine, tokens, stride: int, max_resident=None):
     """Step all streams tick by tick; returns (verdicts, seconds, latencies, stats)."""
     num_streams, num_tokens = tokens.shape
     manager = SessionManager(
         engine,
         SessionConfig(stride=stride, max_resident_sessions=max_resident),
-        backend=backend,
     )
     keys = _keys(num_streams)
     verdicts: dict = {key: [] for key in keys}
@@ -112,28 +107,32 @@ def run_sweep(
     strides,
     num_tokens: int,
     seed: int = 0,
-    backend: str = DEFAULT_BACKEND,
 ) -> dict:
     """streams x stride sweep; returns the result document (plain data).
 
-    ``backend`` picks the session hot-path kernel backend under test.
-    A non-reference backend additionally re-runs every rung's
-    incremental pass on ``reference`` to report ``backend_speedup``
-    (same manager mechanics, kernel backend isolated) and to assert the
-    two verdict streams match bit-exactly.
+    The kernel backend under test is ``engine``'s (``EngineConfig.backend``).
+    The recompute baseline runs on a ``reference`` engine with the same
+    weights; for a non-reference ``engine`` that engine also re-runs
+    every rung's incremental pass to report ``backend_speedup`` (same
+    manager mechanics, kernel backend isolated) and to assert the two
+    verdict streams match bit-exactly.
     """
     vocab = engine.config.dimensions.vocab_size
     window = engine.config.dimensions.sequence_length
+    backend = engine.config.backend
     compare_reference = backend != "reference"
+    reference = engine if not compare_reference else CSDInferenceEngine(
+        dataclasses.replace(engine.config, backend="reference"), engine.weights
+    )
     results = []
     for num_streams in stream_counts:
         for stride in strides:
             tokens = _stream_tokens(num_streams, num_tokens, vocab, seed)
             inc_verdicts, inc_seconds, inc_latencies, stats = _run_incremental(
-                engine, tokens, stride, backend=backend
+                engine, tokens, stride
             )
             rec_verdicts, rec_seconds, rec_latencies = _run_recompute(
-                engine, tokens, stride
+                reference, tokens, stride
             )
             num_verdicts = sum(len(v) for v in inc_verdicts.values())
             row = {
@@ -156,7 +155,7 @@ def run_sweep(
             }
             if compare_reference:
                 ref_verdicts, ref_seconds, _, _ = _run_incremental(
-                    engine, tokens, stride, backend="reference"
+                    reference, tokens, stride
                 )
                 row["reference_incremental_seconds"] = ref_seconds
                 row["backend_speedup"] = ref_seconds / inc_seconds
@@ -167,12 +166,10 @@ def run_sweep(
     num_streams = max(stream_counts)
     stride = strides[-1]
     tokens = _stream_tokens(num_streams, num_tokens, vocab, seed)
-    free_verdicts, _, _, _ = _run_incremental(
-        engine, tokens, stride, backend=backend
-    )
+    free_verdicts, _, _, _ = _run_incremental(engine, tokens, stride)
     cap = max(1, num_streams // 2)
     bud_verdicts, bud_seconds, bud_latencies, bud_stats = _run_incremental(
-        engine, tokens, stride, max_resident=cap, backend=backend
+        engine, tokens, stride, max_resident=cap
     )
     budget_row = {
         "streams": num_streams,
@@ -190,9 +187,7 @@ def run_sweep(
         "window_length": window,
         "hidden_size": engine.config.dimensions.hidden_size,
         "backend": backend,
-        "accel_tier": getattr(
-            resolve_backend(backend, engine), "accel_tier", None
-        ),
+        "accel_tier": getattr(engine.step_backend, "accel_tier", None),
         "backend_fallbacks": bud_stats["backend_fallbacks"],
         "results": results,
         "memory_pressure": budget_row,
@@ -375,10 +370,11 @@ def main(argv=None) -> int:
         SequenceClassifier(seed=0),
         OptimizationLevel[args.optimization],
         sequence_length=window,
+        backend=args.backend,
     )
     document = run_sweep(
         engine, stream_counts=stream_counts, strides=strides,
-        num_tokens=num_tokens, seed=args.seed, backend=args.backend,
+        num_tokens=num_tokens, seed=args.seed,
     )
     for line in _report_lines(document):
         print(line)

@@ -45,7 +45,7 @@ import argparse
 import dataclasses
 import sys
 
-from repro.core.config import EngineConfig, OptimizationLevel
+from repro.core.config import DEFAULT_BACKEND, EngineConfig, OptimizationLevel
 from repro.core.engine import CSDInferenceEngine
 from repro.core.kernels.backends import available_backends
 from repro.hw.emulation import render_engine_report
@@ -160,8 +160,7 @@ def _run_evaluate(args) -> int:
     engine = CSDInferenceEngine.from_weight_file(
         args.weights, sequence_length=dataset.sequence_length
     )
-    engine = _engine_at(engine, OptimizationLevel[args.optimization],
-                        backend=getattr(args, "backend", None))
+    engine = _engine_at(engine, OptimizationLevel[args.optimization], args)
     _maybe_attach_telemetry(engine, args)
     subset = dataset.subset(np.arange(min(args.limit, len(dataset))))
     metrics = classification_report(engine.predict(subset.sequences), subset.labels)
@@ -172,14 +171,22 @@ def _run_evaluate(args) -> int:
     return 0
 
 
+def _with_backend(config: EngineConfig, args) -> EngineConfig:
+    """``config`` with the global ``--backend`` applied, if one was given."""
+    backend = getattr(args, "backend", None)
+    if backend is None:
+        return config
+    return dataclasses.replace(config, backend=backend)
+
+
 def _engine_at(engine: CSDInferenceEngine, level: OptimizationLevel,
-               backend: str | None = None) -> CSDInferenceEngine:
-    backend = backend or engine.config.backend
-    if engine.config.optimization is level and engine.config.backend == backend:
-        return engine
-    config = dataclasses.replace(
-        engine.config, optimization=level, backend=backend
+               args) -> CSDInferenceEngine:
+    """``engine`` rebuilt at ``level`` on the ``--backend`` (if they differ)."""
+    config = _with_backend(
+        dataclasses.replace(engine.config, optimization=level), args
     )
+    if config == engine.config:
+        return engine
     return CSDInferenceEngine(config, engine.weights)
 
 
@@ -206,8 +213,7 @@ def _run_scan(args) -> int:
     engine = CSDInferenceEngine.from_weight_file(
         args.weights, sequence_length=args.sequence_length
     )
-    engine = _engine_at(engine, engine.config.optimization,
-                        backend=getattr(args, "backend", None))
+    engine = _engine_at(engine, engine.config.optimization, args)
     _maybe_attach_telemetry(engine, args)
     detector = RansomwareDetector(engine, threshold=args.threshold, stride=args.stride)
     family = next(f for f in ALL_FAMILIES if f.name == args.family)
@@ -233,11 +239,10 @@ def _add_report_command(subparsers) -> None:
 
 
 def _run_report(args) -> int:
-    config = EngineConfig(
+    config = _with_backend(EngineConfig(
         optimization=OptimizationLevel[args.optimization],
         num_gate_cus=args.gate_cus,
-        backend=getattr(args, "backend", None) or "reference",
-    )
+    ), args)
     engine = CSDInferenceEngine.build_unloaded(config)
     _maybe_attach_telemetry(engine, args)
     print(render_engine_report(engine), end="")
@@ -280,8 +285,7 @@ def _run_monitor(args) -> int:
     engine = CSDInferenceEngine.from_weight_file(
         args.weights, sequence_length=args.sequence_length
     )
-    engine = _engine_at(engine, OptimizationLevel[args.optimization],
-                        backend=getattr(args, "backend", None))
+    engine = _engine_at(engine, OptimizationLevel[args.optimization], args)
     _maybe_attach_telemetry(engine, args)
     sandbox = CuckooSandbox(seed=args.seed)
     traces = [
@@ -411,10 +415,9 @@ def _run_fleet_serve(args) -> int:
 
     weights = HostWeights.from_file(args.weights)
     dims = _dc.replace(weights.dimensions, sequence_length=args.sequence_length)
-    config = EngineConfig(
+    config = _with_backend(EngineConfig(
         dimensions=dims, optimization=OptimizationLevel[args.optimization],
-        backend=getattr(args, "backend", None) or "reference",
-    )
+    ), args)
     engines = build_fleet(weights, args.devices, config=config)
     streams = [
         MonitoredStream(f"stream{i}", args.calls_per_second,
@@ -562,10 +565,9 @@ def _run_control_plane(args) -> int:
 
     weights = HostWeights.from_file(args.weights)
     dims = _dc.replace(weights.dimensions, sequence_length=args.window)
-    config = EngineConfig(
+    config = _with_backend(EngineConfig(
         dimensions=dims, optimization=OptimizationLevel.FIXED_POINT,
-        backend=getattr(args, "backend", None) or "reference",
-    )
+    ), args)
     topology = TopologySpec(
         racks=args.racks, nodes_per_rack=args.nodes_per_rack,
         drives_per_node=args.drives_per_node,
@@ -592,7 +594,6 @@ def _run_control_plane(args) -> int:
                 memory_budget_bytes=int(args.memory_budget_mib * 2**20),
                 idle_after_steps=4,
             ),
-            backend=getattr(args, "backend", None),
             max_events_per_round=None,
         ),
         telemetry=getattr(args, "_telemetry", None),
@@ -784,7 +785,6 @@ def _add_respond_command(subparsers) -> None:
 def _run_respond(args) -> int:
     import json
 
-    from repro.core.engine import engine_at_level
     from repro.hw.smartssd import SmartSSD
     from repro.ransomware.replay import ScenarioReplay, build_scenario
     from repro.ransomware.traces.adapters import MODALITIES
@@ -806,10 +806,11 @@ def _run_respond(args) -> int:
                        learning_rate=0.005, seed=args.seed),
     ).fit(train_split.sequences, train_split.labels,
           test_split.sequences, test_split.labels)
-    engine = engine_at_level(
-        model, OptimizationLevel.FIXED_POINT,
-        sequence_length=args.sequence_length,
+    engine = _engine_at(
+        CSDInferenceEngine.from_model(model, sequence_length=args.sequence_length),
+        OptimizationLevel.FIXED_POINT, args,
     )
+    _maybe_attach_telemetry(engine, args)
 
     policy = ResponsePolicy(
         observe_threshold=args.threshold,
@@ -887,9 +888,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend", choices=available_backends(), default=None,
         help="kernel backend for the inference/session hot path "
-             "(default: the engine's configured backend, normally "
-             "'reference'; 'fused' is bit-exact and faster — see "
-             "docs/performance.md)",
+             f"(default: {DEFAULT_BACKEND}; 'fused' is bit-exact and "
+             "faster — see docs/performance.md)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     _add_dataset_command(subparsers)

@@ -83,6 +83,9 @@ class ModelDimensions:
 #: The four gate kernels, in the paper's Fig. 2 order.
 GATE_NAMES = ("i", "f", "o", "c")
 
+#: The default kernel backend of :class:`EngineConfig`.
+DEFAULT_BACKEND = "reference"
+
 
 @dataclasses.dataclass(frozen=True)
 class EngineConfig:
@@ -116,8 +119,10 @@ class EngineConfig:
         default) runs the per-kernel NumPy pipeline exactly as shipped;
         ``"fused"`` collapses each tick into one precompiled step over
         persistent state, bit-exact with ``reference`` at every
-        optimisation level.  Validated lazily at first use (the registry
-        lives above this module in the import graph), never here.
+        optimisation level.  The engine is the only place a backend is
+        chosen: its session managers and fleet devices all step on
+        ``engine.step_backend``.  Validated lazily at first use (the
+        backends live above this module in the import graph), never here.
     """
 
     dimensions: ModelDimensions = dataclasses.field(default_factory=ModelDimensions)
@@ -128,7 +133,7 @@ class EngineConfig:
     fpga_part: FpgaPart = ALVEO_U200
     kernel_clock_hz: float = DEFAULT_KERNEL_CLOCK_HZ
     qformat: QFormat = PAPER_QFORMAT
-    backend: str = "reference"
+    backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         if self.num_gate_cus not in (1, 2, 4):

@@ -226,7 +226,7 @@ class ControlPlaneConfig:
         fallback class for unclassified streams — the first entry).
     autoscale:
         :class:`AutoscalePolicy`, or ``None`` to pin the fleet.
-    serving / sessions / backend:
+    serving / sessions:
         Passed through to :class:`~repro.core.serving.FleetServer` and
         each drive's :class:`~repro.core.sessions.SessionManager`.
     max_events_per_round:
@@ -249,7 +249,6 @@ class ControlPlaneConfig:
     )
     serving: ServingConfig = dataclasses.field(default_factory=ServingConfig)
     sessions: SessionConfig = dataclasses.field(default_factory=SessionConfig)
-    backend: str | None = None
     max_events_per_round: int | None = None
     on_verdict: object = None
 
@@ -446,7 +445,7 @@ class ControlPlane:
             on_device_failed=self._on_device_failed,
             on_verdict=self.config.on_verdict,
         )
-        self.server.begin_tokens(self.config.sessions, self.config.backend)
+        self.server.begin_tokens(self.config.sessions)
 
         self._active = [True] * topology.total_drives
         self._failed: set = set()

@@ -303,10 +303,11 @@ class CSDInferenceEngine:
     def step_backend(self):
         """The engine's kernel backend, resolved lazily and cached.
 
-        Selected by ``config.backend`` from the registry in
-        :mod:`repro.core.kernels.backends`.  Resolution may itself
-        degrade (no compiler, unsafe bounds); the returned backend's
-        ``fallback_reasons`` records why.  Rebuilt after
+        Selected by ``config.backend`` (see
+        :mod:`repro.core.kernels.backends`) and shared by every session
+        manager built on this engine, so its ``fallback_reasons`` count
+        per engine.  Resolution may itself degrade (no compiler, unsafe
+        bounds); ``fallback_reasons`` records why.  Rebuilt after
         :meth:`load_weights` since the fused math bakes the weights in.
         """
         if self._step_backend is None:
@@ -393,15 +394,8 @@ class CSDInferenceEngine:
             if predictions is None:
                 raise AssertionError("batch completed without classifications")
 
-        timing = build_inference_timing(
-            self.config,
-            self.preprocess.timing(),  # charges one sequence's AXI fetch
-            self.gates.timing(),
-            self.hidden_state.timing(),
-            self.hidden_state.classification_cycles(),
-            self.device.clock,
-        )
-        self.preprocess.account_batch_fetches(batch.shape[0] - 1)
+        timing = self.analytic_timing()
+        self.preprocess.account_fetches(batch.shape[0])
         self.sequences_processed += batch.shape[0]
         if self.telemetry is not None:
             self._emit_batch_telemetry(batch.shape[0], timing)

@@ -1,18 +1,17 @@
 """The five-kernel decomposition of the LSTM forward pass (Fig. 2).
 
-:mod:`repro.core.kernels.backends` layers an execution-backend registry
-on top: the per-kernel NumPy pipeline is the ``reference`` backend (the
-bit-exactness oracle), and the ``fused`` backend collapses each tick
-into one precompiled step over persistent state.
+:mod:`repro.core.kernels.backends` layers two execution backends on
+top, chosen only by ``EngineConfig.backend``: the per-kernel NumPy
+pipeline is the ``reference`` backend (the bit-exactness oracle), and
+the ``fused`` backend collapses each tick into one precompiled step over
+persistent state.
 """
 
 from repro.core.kernels.backends import (
-    DEFAULT_BACKEND,
     FusedOverflow,
     FusedUnavailable,
     KernelBackend,
     available_backends,
-    register_backend,
     resolve_backend,
 )
 from repro.core.kernels.base import Kernel, KernelTiming
@@ -21,7 +20,6 @@ from repro.core.kernels.hidden_state import HiddenStateKernel
 from repro.core.kernels.preprocess import PreprocessKernel
 
 __all__ = [
-    "DEFAULT_BACKEND",
     "FusedOverflow",
     "FusedUnavailable",
     "GATE_ACTIVATIONS",
@@ -32,6 +30,5 @@ __all__ = [
     "KernelTiming",
     "PreprocessKernel",
     "available_backends",
-    "register_backend",
     "resolve_backend",
 ]

@@ -1,10 +1,11 @@
-"""Kernel execution backends: the ``reference``/``fused`` registry.
+"""Kernel execution backends: ``reference`` and ``fused``.
 
 The streaming session layer steps every open window of a tick through
 one LSTM step (``SessionManager.step``, via one
 :class:`~repro.core.sessions.SessionStepper` over one slot arena).  This
-module gives the engine pluggable *execution backends* for the math of
-that step and of whole-batch inference:
+module gives the engine two *execution backends* for the math of that
+step and of whole-batch inference, chosen only by
+``EngineConfig.backend`` and cached as ``engine.step_backend``:
 
 * ``reference`` — the per-kernel NumPy pipeline (``preprocess``,
   ``gates``, ``hidden_state``).  It is the bit-exactness oracle and the
@@ -60,7 +61,7 @@ Fallback reasons
     restored checkpoint; that session manager casts its slot arena to
     the external dtype once and continues on reference math.
 
-See ``docs/performance.md`` ("The kernel backend registry") and
+See ``docs/performance.md`` ("The kernel backends") and
 ``docs/observability.md`` for the metric contract.
 """
 
@@ -84,9 +85,6 @@ FALLBACK_UNSAFE_BOUNDS = "unsafe_bounds"
 FALLBACK_SELF_CHECK = "self_check_failed"
 FALLBACK_OVERFLOW_GUARD = "overflow_guard"
 
-#: The default backend of :class:`~repro.core.config.EngineConfig`.
-DEFAULT_BACKEND = "reference"
-
 #: Safety margin for the fused matmul rescale-by-inverse: quotients up to
 #: this magnitude keep the float error (~q * 2**-52) at least three
 #: decades under both the nudge epsilon and the 1/scale boundary gap.
@@ -104,35 +102,6 @@ class FusedUnavailable(Exception):
 
 class FusedOverflow(Exception):
     """A runtime state magnitude crossed the fused exactness guard."""
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-_REGISTRY: dict = {}
-
-
-def register_backend(name: str, factory) -> None:
-    """Register ``factory(engine) -> KernelBackend`` under ``name``."""
-    _REGISTRY[name] = factory
-
-
-def available_backends() -> tuple:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def resolve_backend(name: str, engine) -> "KernelBackend":
-    """Instantiate the backend ``name`` for ``engine``."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; available: "
-            f"{', '.join(available_backends())}"
-        ) from None
-    return factory(engine)
 
 
 class KernelBackend:
@@ -667,5 +636,28 @@ class FusedBackend(KernelBackend):
         return math_impl.classify_rows(h)
 
 
-register_backend(ReferenceBackend.name, ReferenceBackend)
-register_backend(FusedBackend.name, FusedBackend)
+# ----------------------------------------------------------------------
+# Backend names
+# ----------------------------------------------------------------------
+
+_BACKENDS = {
+    ReferenceBackend.name: ReferenceBackend,
+    FusedBackend.name: FusedBackend,
+}
+
+
+def available_backends() -> tuple:
+    """Kernel backend names, sorted."""
+    return tuple(sorted(_BACKENDS))
+
+
+def resolve_backend(name: str, engine) -> KernelBackend:
+    """Instantiate the backend ``name`` for ``engine``."""
+    try:
+        factory = _BACKENDS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown backend {name!r}; available: "
+            f"{', '.join(available_backends())}"
+        ) from None
+    return factory(engine)

@@ -101,33 +101,22 @@ class PreprocessKernel(Kernel):
                 )
         return table[tokens]
 
-    def account_batch_fetches(self, count: int) -> None:
-        """Record AXI read traffic for ``count`` additional sequences.
+    def account_fetches(self, count: int) -> None:
+        """Record the AXI reads of ``count`` sequences' embedding fetches.
 
-        The sequential path charges one embedding-row burst per sequence
-        when :meth:`timing` calls ``axi.read_cycles``; a batched call
-        builds timing once for the whole batch, so the remaining
-        ``count`` sequences' fetches are accounted here to keep the AXI
-        byte/transfer counters identical to ``count + 1`` sequential runs.
+        One embedding-row burst per sequence, priced as in
+        :meth:`timing`; the engine calls this once per inference call
+        with the whole batch, so the port counters read the same as
+        ``count`` sequential calls.  Timing queries never count a fetch.
         """
-        if count <= 0:
-            return
-        dims = self.config.dimensions
+        num_bytes = self._fetch_bytes()
+        self.axi.record_transfers(
+            "read", num_bytes, self.axi.burst_cycles(num_bytes), count=count
+        )
+
+    def _fetch_bytes(self) -> int:
         bytes_per_value = 8 if self.config.optimization.uses_fixed_point else 4
-        num_bytes = count * dims.embedding_dim * bytes_per_value
-        self.axi.bytes_transferred += num_bytes
-        self.axi.transfer_count += count
-        if self.axi.telemetry is not None:
-            # Mirror into the telemetry counters so they stay equal to the
-            # port's own counters (the per-transfer hook in read_cycles is
-            # bypassed here by design).
-            metrics = self.axi.telemetry.metrics
-            metrics.counter(
-                "repro_axi_bytes_total", port=self.axi.name, op="read"
-            ).inc(num_bytes)
-            metrics.counter(
-                "repro_axi_transfers_total", port=self.axi.name, op="read"
-            ).inc(count)
+        return self.config.dimensions.embedding_dim * bytes_per_value
 
     # ------------------------------------------------------------------
     # Timing
@@ -135,8 +124,7 @@ class PreprocessKernel(Kernel):
 
     def timing(self) -> KernelTiming:
         dims = self.config.dimensions
-        bytes_per_value = 8 if self.config.optimization.uses_fixed_point else 4
-        fetch_cycles = self.axi.read_cycles(dims.embedding_dim * bytes_per_value)
+        fetch_cycles = self.axi.burst_cycles(self._fetch_bytes())
 
         if self.config.optimization.uses_ii_pragmas:
             copy_pragmas = PragmaSet(pipeline=True, target_ii=1, unroll=4, array_partition=True)

@@ -354,7 +354,6 @@ class FleetServer:
         self._migrated_sessions = 0
         self._tick_counter = 0
         self._session_config: SessionConfig | None = None
-        self._session_backend: str | None = None
 
     # ------------------------------------------------------------------
     # Routing
@@ -631,8 +630,7 @@ class FleetServer:
                 continue
             self._buffer_token(target, arrival)
 
-    def begin_tokens(self, sessions: SessionConfig | None = None,
-                     backend: str | None = None) -> None:
+    def begin_tokens(self, sessions: SessionConfig | None = None) -> None:
         """Start the token path without running anything yet.
 
         Gives every device a fresh
@@ -647,11 +645,8 @@ class FleetServer:
             raise RuntimeError("token mode already begun")
         self._token_mode = True
         self._session_config = sessions or SessionConfig()
-        self._session_backend = backend
         for device in self.devices:
-            device.sessions = SessionManager(
-                device.engine, self._session_config, backend=backend
-            )
+            device.sessions = SessionManager(device.engine, self._session_config)
         for device in self.devices:
             fail = device.fault_plan.device_fail
             if fail is not None:
@@ -711,8 +706,7 @@ class FleetServer:
         )
 
     def serve_tokens(self, arrivals,
-                     sessions: SessionConfig | None = None,
-                     backend: str | None = None) -> SessionServingReport:
+                     sessions: SessionConfig | None = None) -> SessionServingReport:
         """Run the simulation over a token-arrival schedule.
 
         Each device runs a :class:`~repro.core.sessions.SessionManager`
@@ -722,12 +716,12 @@ class FleetServer:
         monitoring continues without losing window state.
         Deterministic: one seed → identical event logs and verdicts.
 
-        ``backend`` overrides the per-device kernel backend (see
-        :mod:`repro.core.kernels.backends`); ``None`` uses each engine's
-        configured backend.  Checkpoint migration between devices is
-        backend-neutral, so mixed fleets stay bit-exact.
+        Each device steps on its own engine's kernel backend
+        (``EngineConfig.backend``).  Checkpoint migration between
+        devices is backend-neutral, so a fleet of engines built with
+        different backends stays bit-exact.
         """
-        self.begin_tokens(sessions=sessions, backend=backend)
+        self.begin_tokens(sessions=sessions)
         self.ingest_tokens(sorted(arrivals, key=lambda a: (a.arrival_us, a.stream)))
         return self.finish_tokens()
 
@@ -852,10 +846,7 @@ class FleetServer:
         device.buffer_streams = {}
         device.wake_at = None
         if self._token_mode:
-            device.sessions = SessionManager(
-                device.engine, self._session_config,
-                backend=self._session_backend,
-            )
+            device.sessions = SessionManager(device.engine, self._session_config)
         self._log("device_restored", device=device.index)
 
     def migrate_streams(self, from_index: int, to_index: int, streams) -> int:

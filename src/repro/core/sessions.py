@@ -21,7 +21,8 @@ online-serving answer:
 
 Every open window's ``(h, C)`` state is a row of one slot arena, stepped
 by one :class:`SessionStepper`.  The engine's **kernel backend**
-(:mod:`repro.core.kernels.backends`) decides only the math: the
+(``engine.step_backend``, chosen only by ``EngineConfig.backend``; see
+:mod:`repro.core.kernels.backends`) decides only the math: the
 ``reference`` backend runs the NumPy kernels, while the ``fused``
 backend at ``FIXED_POINT`` runs the whole step as one fused pass.
 Every backend is **bit-exact** with ``infer_sequence`` on the same
@@ -29,7 +30,7 @@ window at every :class:`~repro.core.config.OptimizationLevel`: a window
 stepped token by token inside an arbitrary batch of other sessions
 produces the identical probability to a fresh full-window recompute.
 See ``docs/streaming.md`` for the lifecycle and semantics and
-``docs/performance.md`` for the backend registry.
+``docs/performance.md`` for the kernel backends.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from repro.core.kernels.backends import (
     FALLBACK_OVERFLOW_GUARD,
     FusedOverflow,
     METRIC_TICKS,
-    resolve_backend,
 )
 from repro.core.kernels.base import KernelTiming
 from repro.hw.clock import ClockDomain
@@ -371,10 +371,10 @@ class SessionManager:
         its live ``telemetry`` reference) for every step.
     config:
         Session policy; see :class:`SessionConfig`.
-    backend:
-        Kernel backend name for the stepping hot path (``"reference"``
-        or ``"fused"``); ``None`` uses the engine's configured backend.
-        See :mod:`repro.core.kernels.backends`.
+
+    The stepping math is the engine's kernel backend
+    (``engine.step_backend``, chosen by ``EngineConfig.backend``), so
+    its fallback counters are the engine's too.
 
     The manager keeps two tiers of state:
 
@@ -391,8 +391,7 @@ class SessionManager:
     (see ``docs/observability.md``).
     """
 
-    def __init__(self, engine, config: SessionConfig | None = None,
-                 backend: str | None = None):
+    def __init__(self, engine, config: SessionConfig | None = None):
         self.engine = engine
         self.config = config or SessionConfig()
         engine._require_loaded()
@@ -413,11 +412,7 @@ class SessionManager:
         self._max_resident = self._effective_cap()
         self._sequence_microseconds = engine.sequence_microseconds()
 
-        backend_name = backend if backend is not None else engine.config.backend
-        if backend_name == engine.config.backend:
-            self.backend = engine.step_backend
-        else:
-            self.backend = resolve_backend(backend_name, engine)
+        self.backend = engine.step_backend
         self._stepper = self.backend.session_stepper(self)
 
         self._resident: collections.OrderedDict = collections.OrderedDict()

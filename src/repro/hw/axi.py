@@ -64,14 +64,6 @@ class AxiMasterPort:
         #: docs/observability.md).  ``None`` keeps the port hook-free.
         self.telemetry = None
 
-    def _record(self, op: str, num_bytes: int, cycles: int) -> None:
-        metrics = self.telemetry.metrics
-        metrics.counter("repro_axi_bytes_total", port=self.name, op=op).inc(num_bytes)
-        metrics.counter("repro_axi_transfers_total", port=self.name, op=op).inc()
-        metrics.histogram(
-            "repro_axi_transfer_cycles", port=self.name, op=op
-        ).observe(cycles)
-
     @property
     def bytes_per_beat(self) -> int:
         return self.data_width_bits // 8
@@ -81,9 +73,12 @@ class AxiMasterPort:
             raise ValueError(f"num_bytes must be non-negative, got {num_bytes}")
         return math.ceil(num_bytes / self.bytes_per_beat)
 
-    def read_cycles(self, num_bytes: int, contention_factor: float = 1.0) -> int:
-        """Cycles to read ``num_bytes`` as one burst.
+    def burst_cycles(self, num_bytes: int, op: str = "read",
+                     contention_factor: float = 1.0) -> int:
+        """Cycles for one ``num_bytes`` burst, priced without counting it.
 
+        Timing models call this; :meth:`read_cycles`/:meth:`write_cycles`
+        (and :meth:`record_transfers`) are the calls that move data.
         ``contention_factor`` >= 1 stretches the data phase when the
         target bank is shared (see :class:`repro.hw.memory.DdrBank`).
         """
@@ -91,24 +86,37 @@ class AxiMasterPort:
             raise ValueError(f"contention_factor must be >= 1, got {contention_factor}")
         if num_bytes == 0:
             return 0
-        self.bytes_transferred += num_bytes
-        self.transfer_count += 1
-        data_cycles = math.ceil(self._beats(num_bytes) * contention_factor)
-        total = self.read_latency_cycles + data_cycles
+        latency = (self.read_latency_cycles if op == "read"
+                   else self.write_latency_cycles)
+        return latency + math.ceil(self._beats(num_bytes) * contention_factor)
+
+    def record_transfers(self, op: str, num_bytes: int, cycles: int,
+                         count: int = 1) -> None:
+        """Count ``count`` identical ``num_bytes`` bursts of ``cycles`` each."""
+        if num_bytes == 0:
+            return
+        self.bytes_transferred += count * num_bytes
+        self.transfer_count += count
         if self.telemetry is not None:
-            self._record("read", num_bytes, total)
+            metrics = self.telemetry.metrics
+            metrics.counter(
+                "repro_axi_bytes_total", port=self.name, op=op
+            ).inc(count * num_bytes)
+            metrics.counter(
+                "repro_axi_transfers_total", port=self.name, op=op
+            ).inc(count)
+            metrics.histogram(
+                "repro_axi_transfer_cycles", port=self.name, op=op
+            ).observe(cycles, count=count)
+
+    def read_cycles(self, num_bytes: int, contention_factor: float = 1.0) -> int:
+        """Cycles to read ``num_bytes`` as one burst, counting the transfer."""
+        total = self.burst_cycles(num_bytes, "read", contention_factor)
+        self.record_transfers("read", num_bytes, total)
         return total
 
     def write_cycles(self, num_bytes: int, contention_factor: float = 1.0) -> int:
-        """Cycles to write ``num_bytes`` as one burst."""
-        if contention_factor < 1.0:
-            raise ValueError(f"contention_factor must be >= 1, got {contention_factor}")
-        if num_bytes == 0:
-            return 0
-        self.bytes_transferred += num_bytes
-        self.transfer_count += 1
-        data_cycles = math.ceil(self._beats(num_bytes) * contention_factor)
-        total = self.write_latency_cycles + data_cycles
-        if self.telemetry is not None:
-            self._record("write", num_bytes, total)
+        """Cycles to write ``num_bytes`` as one burst, counting the transfer."""
+        total = self.burst_cycles(num_bytes, "write", contention_factor)
+        self.record_transfers("write", num_bytes, total)
         return total

@@ -13,7 +13,6 @@ from repro.nn.embedding import Embedding
 from repro.nn.kernels import (
     DEFAULT_TRAIN_BACKEND,
     available_training_backends,
-    register_training_backend,
     resolve_training_backend,
 )
 from repro.nn.lstm import LSTM
@@ -58,7 +57,6 @@ __all__ = [
     "clip_gradients",
     "confusion_matrix",
     "dump_weights",
-    "register_training_backend",
     "resolve_training_backend",
     "load_into_model",
     "load_weights",

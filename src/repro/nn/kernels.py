@@ -1,4 +1,4 @@
-"""Training kernel backends: the ``reference``/``fused`` registry.
+"""Training kernel backends: ``reference`` and ``fused``.
 
 Training time in this repo is dominated by the recurrent timestep loops in
 ``LSTM.forward``/``LSTM.backward`` — and inside those, by Python/NumPy
@@ -6,8 +6,8 @@ dispatch overhead: the masked two-branch ``sigmoid`` (a boolean gather and
 two scatters per gate per timestep), ``sigmoid_grad`` re-running the full
 sigmoid on stored pre-activations, four slab copies per step, and ~10 fresh
 array allocations per batch.  This module gives :class:`~repro.nn.trainer.Trainer`
-pluggable *training backends* for that hot path, mirroring the session
-kernel registry in ``core/kernels/backends.py``:
+two *training backends* for that hot path, mirroring the session kernel
+backends in ``core/kernels/backends.py``:
 
 * ``reference`` — ``SequenceClassifier.train_batch`` invoked exactly as
   before.  It is the bit-exactness oracle: every other backend must
@@ -92,34 +92,6 @@ FALLBACK_SELF_CHECK = "self_check_failed"
 
 #: The default backend of :class:`~repro.nn.trainer.TrainingConfig`.
 DEFAULT_TRAIN_BACKEND = "reference"
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-_REGISTRY: dict = {}
-
-
-def register_training_backend(name: str, factory) -> None:
-    """Register ``factory(model, telemetry=None) -> TrainingKernel``."""
-    _REGISTRY[name] = factory
-
-
-def available_training_backends() -> tuple:
-    """Registered training backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def resolve_training_backend(name: str, model, telemetry=None):
-    """Instantiate the named backend bound to ``model``."""
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown training backend {name!r}; available: "
-            f"{', '.join(available_training_backends())}"
-        )
-    return factory(model, telemetry=telemetry)
 
 
 class TrainingKernel:
@@ -531,5 +503,27 @@ def _cc_train_steps(hidden_size: int):
     return _TrainSteps(fwd, bwd)
 
 
-register_training_backend("reference", ReferenceTrainingKernel)
-register_training_backend("fused", FusedTrainingKernel)
+# ----------------------------------------------------------------------
+# Backend names
+# ----------------------------------------------------------------------
+
+_BACKENDS = {
+    ReferenceTrainingKernel.name: ReferenceTrainingKernel,
+    FusedTrainingKernel.name: FusedTrainingKernel,
+}
+
+
+def available_training_backends() -> tuple:
+    """Training backend names, sorted."""
+    return tuple(sorted(_BACKENDS))
+
+
+def resolve_training_backend(name: str, model, telemetry=None):
+    """Instantiate the named backend bound to ``model``."""
+    factory = _BACKENDS.get(name)
+    if factory is None:
+        raise ValueError(
+            f"unknown training backend {name!r}; available: "
+            f"{', '.join(available_training_backends())}"
+        )
+    return factory(model, telemetry=telemetry)

@@ -1,10 +1,12 @@
-"""Kernel-backend registry tests (see ``docs/performance.md``).
+"""Kernel-backend tests (see ``docs/performance.md``).
 
-The registry's contract: every backend is **bit-exact** with the
+The backends' contract: every backend is **bit-exact** with the
 ``reference`` per-kernel NumPy pipeline at every optimisation level, on
 both the whole-window inference path and the incremental session path;
 degradations (missing accelerator, unsafe bounds, mid-run overflow
-guard) fall back gracefully and are *counted*, never silent.
+guard) fall back gracefully and are *counted*, never silent.  A
+backend is the engine's (``EngineConfig.backend``), so its fallbacks
+count per engine: a test that records one builds a fresh engine.
 """
 
 import dataclasses
@@ -13,10 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import backends as backends_mod
-from repro.core.config import EngineConfig, OptimizationLevel
+from repro.core.config import DEFAULT_BACKEND, EngineConfig, OptimizationLevel
 from repro.core.engine import CSDInferenceEngine
 from repro.core.kernels.backends import (
-    DEFAULT_BACKEND,
     FALLBACK_JIT_ERROR,
     FALLBACK_OVERFLOW_GUARD,
     METRIC_FALLBACK,
@@ -117,29 +118,28 @@ class TestInferenceParity:
 class TestSessionParity:
     @pytest.mark.parametrize("level", list(OptimizationLevel))
     def test_manager_verdicts_bit_exact_with_reference(self, level):
-        engine = engine_for(level)
         rng = np.random.default_rng(23)
         keys = [f"s{i}" for i in range(6)]
         tokens = rng.integers(0, VOCAB, size=(6, 3 * WINDOW))
         config = SessionConfig(stride=3)
         want = manager_verdicts(
-            SessionManager(engine, config, backend="reference"), keys, tokens
+            SessionManager(engine_for(level), config), keys, tokens
         )
         got = manager_verdicts(
-            SessionManager(engine, config, backend="fused"), keys, tokens
+            SessionManager(engine_for(level, "fused"), config), keys, tokens
         )
         assert want and got == want
 
     def test_parity_under_eviction_and_restore(self):
-        engine = engine_for(OptimizationLevel.FIXED_POINT)
+        level = OptimizationLevel.FIXED_POINT
         rng = np.random.default_rng(29)
         keys = [f"s{i}" for i in range(8)]
         tokens = rng.integers(0, VOCAB, size=(8, 3 * WINDOW))
         config = SessionConfig(stride=2, max_resident_sessions=3)
         want = manager_verdicts(
-            SessionManager(engine, config, backend="reference"), keys, tokens
+            SessionManager(engine_for(level), config), keys, tokens
         )
-        fused = SessionManager(engine, config, backend="fused")
+        fused = SessionManager(engine_for(level, "fused"), config)
         got = manager_verdicts(fused, keys, tokens)
         assert want and got == want
         assert fused.stats()["restores"] > 0  # the pressure was real
@@ -148,26 +148,26 @@ class TestSessionParity:
         """A fused manager's checkpoint resumes on a reference manager
         (and back) with the verdict stream unchanged — the external
         checkpoint format is backend-neutral."""
-        engine = engine_for(OptimizationLevel.FIXED_POINT)
+        level = OptimizationLevel.FIXED_POINT
         rng = np.random.default_rng(31)
         tokens = rng.integers(0, VOCAB, size=3 * WINDOW)
         split = WINDOW + 5
         config = SessionConfig(stride=2)
 
-        oracle = SessionManager(engine, config, backend="reference")
+        oracle = SessionManager(engine_for(level), config)
         want = [
             (v.window_index, v.probability)
             for t in tokens for v in [oracle.observe("p", int(t))]
             if v is not None
         ]
         for first, second in (("fused", "reference"), ("reference", "fused")):
-            source = SessionManager(engine, config, backend=first)
+            source = SessionManager(engine_for(level, first), config)
             got = [
                 (v.window_index, v.probability)
                 for t in tokens[:split] for v in [source.observe("p", int(t))]
                 if v is not None
             ]
-            target = SessionManager(engine, config, backend=second)
+            target = SessionManager(engine_for(level, second), config)
             target.import_checkpoint(source.export_checkpoint("p"))
             got += [
                 (v.window_index, v.probability)
@@ -209,16 +209,16 @@ class TestDegradation:
         the reference kernels exactly: the verdict stream is unchanged,
         the fallback is counted under ``overflow_guard``, and the fused
         math is never called again."""
-        engine = engine_for(OptimizationLevel.FIXED_POINT)
+        level = OptimizationLevel.FIXED_POINT
         rng = np.random.default_rng(37)
         keys = [f"s{i}" for i in range(5)]
         tokens = rng.integers(0, VOCAB, size=(5, 3 * WINDOW))
         config = SessionConfig(stride=3)
         want = manager_verdicts(
-            SessionManager(engine, config, backend="reference"), keys, tokens
+            SessionManager(engine_for(level), config), keys, tokens
         )
 
-        fused = SessionManager(engine, config, backend="fused")
+        fused = SessionManager(new_engine(level, "fused"), config)
         math_impl = fused.backend.fused_math
         original = math_impl.step_rows
         overflow_at = WINDOW + 3
@@ -241,17 +241,17 @@ class TestDegradation:
         """A checkpoint whose cell state sits past the fused guard is
         restored on the reference kernels: counted once under
         ``overflow_guard``, with verdicts equal to a reference manager's."""
-        engine = engine_for(OptimizationLevel.FIXED_POINT)
+        level = OptimizationLevel.FIXED_POINT
         rng = np.random.default_rng(43)
         tokens = rng.integers(0, VOCAB, size=3 * WINDOW)
         split = WINDOW + 4
         config = SessionConfig(stride=2)
 
-        source = SessionManager(engine, config, backend="reference")
+        source = SessionManager(engine_for(level), config)
         for token in tokens[:split]:
             source.observe("p", int(token))
         checkpoint = source.export_checkpoint("p")
-        fused = SessionManager(engine, config, backend="fused")
+        fused = SessionManager(new_engine(level, "fused"), config)
         limit = fused.backend.fused_math.cell_limit
         start, filled, hidden, cell = checkpoint.slots[0]
         cell = cell.copy()
@@ -263,7 +263,7 @@ class TestDegradation:
 
         verdicts = {}
         for name, manager in (
-            ("reference", SessionManager(engine, config, backend="reference")),
+            ("reference", SessionManager(engine_for(level), config)),
             ("fused", fused),
         ):
             manager.import_checkpoint(hot)
@@ -278,21 +278,19 @@ class TestDegradation:
     def test_fallbacks_and_ticks_are_observable(self):
         from repro.telemetry import Telemetry
 
-        engine = engine_for(OptimizationLevel.FIXED_POINT, backend="fused")
+        engine = new_engine(OptimizationLevel.FIXED_POINT, backend="fused")
         telemetry = Telemetry()
         engine.attach_telemetry(telemetry)
-        try:
-            manager = SessionManager(engine, SessionConfig(stride=2))
-            for tick in range(WINDOW):
-                manager.step({"a": tick % VOCAB})
-            backend = manager.backend
-            backend.record_fallback("self_check_failed")
-            assert backend.fallback_reasons["self_check_failed"] == 1
-            assert telemetry.metrics.counter(
-                METRIC_FALLBACK, reason="self_check_failed"
-            ).value == 1
-            assert telemetry.metrics.counter(
-                METRIC_TICKS, backend=backend.name
-            ).value == WINDOW
-        finally:
-            engine.attach_telemetry(None)
+        manager = SessionManager(engine, SessionConfig(stride=2))
+        for tick in range(WINDOW):
+            manager.step({"a": tick % VOCAB})
+        backend = manager.backend
+        assert backend is engine.step_backend
+        backend.record_fallback("self_check_failed")
+        assert backend.fallback_reasons["self_check_failed"] == 1
+        assert telemetry.metrics.counter(
+            METRIC_FALLBACK, reason="self_check_failed"
+        ).value == 1
+        assert telemetry.metrics.counter(
+            METRIC_TICKS, backend=backend.name
+        ).value == WINDOW

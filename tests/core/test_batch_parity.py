@@ -12,7 +12,9 @@ import pytest
 
 from repro.core.config import OptimizationLevel
 from repro.core.engine import engine_at_level
+from repro.core.sessions import SessionManager
 from repro.nn.model import SequenceClassifier
+from repro.telemetry import Telemetry
 
 SEQ_LEN = 12
 VOCAB = 278
@@ -86,6 +88,31 @@ class TestBatchAccounting:
         for row in batch:
             sequential_engine.infer_sequence(row)
         assert batched_engine.statistics() == sequential_engine.statistics()
+
+    def test_timing_queries_move_no_data(self, model, level):
+        """Pricing the embedding fetch is not a fetch: timing queries and
+        session-manager construction leave every AXI counter at zero,
+        and an inference call then counts one burst per sequence."""
+        engine = make_engine(model, level)
+        telemetry = Telemetry()
+        engine.attach_telemetry(telemetry)
+        for _ in range(3):
+            SessionManager(engine)
+        engine.per_item_microseconds()
+        engine.sequence_microseconds()
+        stats = engine.statistics()
+        assert (stats["axi_transfers"], stats["axi_bytes_read"]) == (0, 0)
+        assert not [r for r in telemetry.metrics.snapshot()
+                    if r["name"].startswith("repro_axi_")]
+
+        engine.infer_batch(make_batch(4))
+        port = engine.preprocess.axi.name
+        transfers = telemetry.counter(
+            "repro_axi_transfers_total", port=port, op="read")
+        cycles = telemetry.histogram(
+            "repro_axi_transfer_cycles", port=port, op="read")
+        assert engine.statistics()["axi_transfers"] == transfers.value == 4
+        assert cycles.count == 4
 
     def test_results_views(self, model, level):
         engine = make_engine(model, level)

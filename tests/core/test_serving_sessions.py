@@ -18,7 +18,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.config import EngineConfig, OptimizationLevel
+from repro.core.config import DEFAULT_BACKEND, EngineConfig, OptimizationLevel
 from repro.core.fleet import MonitoredStream
 from repro.core.serving import (
     FleetServer,
@@ -40,12 +40,13 @@ VOCAB = 278
 _WEIGHTS = HostWeights.from_model(SequenceClassifier(seed=13))
 
 
-def make_engines(count):
+def make_engines(count, backend=DEFAULT_BACKEND):
     config = EngineConfig(
         dimensions=dataclasses.replace(
             _WEIGHTS.dimensions, sequence_length=WINDOW
         ),
         optimization=OptimizationLevel.FIXED_POINT,
+        backend=backend,
     )
     return build_fleet(_WEIGHTS, count, config=config)
 
@@ -69,7 +70,7 @@ def dense_schedule(streams, tokens_per_stream, gap_us=50, seed=0):
 
 
 def serve(engines, streams, arrivals, session_config=None, config=None,
-          fault_plans=None, backend=None) -> SessionServingReport:
+          fault_plans=None) -> SessionServingReport:
     server = FleetServer(
         engines, streams,
         config or ServingConfig(max_batch=8, max_wait_us=100,
@@ -78,7 +79,6 @@ def serve(engines, streams, arrivals, session_config=None, config=None,
     )
     return server.serve_tokens(
         arrivals, sessions=session_config or SessionConfig(stride=2),
-        backend=backend,
     )
 
 
@@ -148,14 +148,13 @@ class TestDeterminism:
         assert reports[0].token_latencies == reports[1].token_latencies
 
     def test_fused_backend_same_verdicts_and_schedule(self):
-        """``serve_tokens(backend="fused")`` changes host wall-clock
-        only: the simulated event log and verdict stream are identical
-        to the reference backend's."""
+        """A fleet of fused engines changes host wall-clock only: the
+        simulated event log and verdict stream are identical to a fleet
+        of reference engines'."""
         streams = make_streams(4)
         arrivals = dense_schedule(streams, 2 * WINDOW, seed=9)
-        reference = serve(make_engines(2), streams, arrivals,
-                          backend="reference")
-        fused = serve(make_engines(2), streams, arrivals, backend="fused")
+        reference = serve(make_engines(2, "reference"), streams, arrivals)
+        fused = serve(make_engines(2, "fused"), streams, arrivals)
         assert fused.verdicts == reference.verdicts
         assert fused.event_log == reference.event_log
         assert fused.token_latencies == reference.token_latencies

@@ -2,8 +2,8 @@
 
 Hypothesis draws a *schedule*: ticks that step random ordered subsets of
 a small key pool, idle gaps, residency/idle/checkpoint-budget pressure,
-live migration (``release`` into a manager of the *other* backend) and
-``close``.  Whatever the interleaving, every stream's verdicts must equal
+live migration (``release`` into a manager on an engine of the *other*
+backend, same weights) and ``close``.  Whatever the interleaving, every stream's verdicts must equal
 the full-window recompute over that stream's tokens since its last
 restart.  A stream restarts when ``close`` drops it or when the
 checkpoint budget drops its checkpoint; both show up as the key leaving
@@ -89,7 +89,7 @@ class _Stream:
 
 def run_schedule(schedule: Schedule) -> None:
     level = OptimizationLevel[schedule.level]
-    engine = engine_for(level)
+    engine = engine_for(level)  # the recompute oracle
     hidden = engine.config.dimensions.hidden_size
     budget = None
     if schedule.checkpoint_slots is not None:
@@ -103,7 +103,7 @@ def run_schedule(schedule: Schedule) -> None:
     )
     first = schedule.backend
     second = BACKENDS[1 - BACKENDS.index(first)]
-    managers = {name: SessionManager(engine, config, backend=name)
+    managers = {name: SessionManager(engine_for(level, name), config)
                 for name in (first, second)}
     fed = dict.fromkeys(managers, 0)
     received = {name: {"ransomware": 0, "benign": 0} for name in managers}

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import EngineConfig, OptimizationLevel
+from repro.core.config import DEFAULT_BACKEND, EngineConfig, OptimizationLevel
 from repro.core.engine import CSDInferenceEngine
 from repro.core.sessions import (
     EVICT_CHECKPOINT_BUDGET,
@@ -40,17 +40,19 @@ _WEIGHTS = HostWeights.from_model(SequenceClassifier(seed=7))
 _ENGINES: dict = {}
 
 
-def engine_for(level: OptimizationLevel) -> CSDInferenceEngine:
-    engine = _ENGINES.get(level)
+def engine_for(level: OptimizationLevel,
+               backend: str = DEFAULT_BACKEND) -> CSDInferenceEngine:
+    engine = _ENGINES.get((level, backend))
     if engine is None:
         config = EngineConfig(
             dimensions=dataclasses.replace(
                 _WEIGHTS.dimensions, sequence_length=WINDOW
             ),
             optimization=level,
+            backend=backend,
         )
         engine = CSDInferenceEngine(config, _WEIGHTS)
-        _ENGINES[level] = engine
+        _ENGINES[(level, backend)] = engine
     return engine
 
 
@@ -103,12 +105,11 @@ class TestIncrementalParity:
         """The fused hot path emits, for every completed window, exactly
         the ``infer_sequence`` recompute verdict — at every level."""
         for level in OptimizationLevel:
-            engine = engine_for(level)
             manager = SessionManager(
-                engine, SessionConfig(stride=stride), backend="fused"
+                engine_for(level, "fused"), SessionConfig(stride=stride)
             )
             got = incremental_verdicts(manager, "s", tokens)
-            want = recompute_verdicts(engine, tokens, 0.5, stride)
+            want = recompute_verdicts(engine_for(level), tokens, 0.5, stride)
             assert [(v.window_index, v.probability) for v in got] == [
                 (v.window_index, v.probability) for v in want
             ]
@@ -379,13 +380,13 @@ class TestCheckpointValidation:
         ["nan_state", "overfilled_slot", "too_many_slots", "short_hidden"],
     )
     def test_malformed_checkpoint_rejected_before_storing(self, defect, backend):
-        engine = engine_for(OptimizationLevel.FIXED_POINT)
+        engine = engine_for(OptimizationLevel.FIXED_POINT, backend)
         config = SessionConfig(stride=3)
-        source = SessionManager(engine, config, backend=backend)
+        source = SessionManager(engine, config)
         for token in range(WINDOW + 4):
             source.observe("proc", token % VOCAB)
         checkpoint = _malformed(source.export_checkpoint("proc"), defect)
-        target = SessionManager(engine, config, backend=backend)
+        target = SessionManager(engine, config)
         with pytest.raises(ValueError):
             target.import_checkpoint(checkpoint)
         assert target.known_keys() == ()
@@ -393,13 +394,13 @@ class TestCheckpointValidation:
 
     @pytest.mark.parametrize("backend", ["reference", "fused"])
     def test_valid_checkpoint_accepted(self, backend):
-        engine = engine_for(OptimizationLevel.FIXED_POINT)
+        engine = engine_for(OptimizationLevel.FIXED_POINT, backend)
         config = SessionConfig(stride=3)
-        source = SessionManager(engine, config, backend=backend)
+        source = SessionManager(engine, config)
         for token in range(WINDOW + 4):
             source.observe("proc", token % VOCAB)
         checkpoint = source.export_checkpoint("proc")
-        target = SessionManager(engine, config, backend=backend)
+        target = SessionManager(engine, config)
         target.import_checkpoint(checkpoint)
         assert target.checkpoint_bytes == checkpoint.nbytes == (
             SESSION_OVERHEAD_BYTES
@@ -492,14 +493,14 @@ class TestTokenValidation:
         """A bad id anywhere in a tick raises before any stream moves:
         every stream's verdicts and the manager's stats match a run that
         never saw the tick."""
-        engine = engine_for(OptimizationLevel.FIXED_POINT)
+        engine = engine_for(OptimizationLevel.FIXED_POINT, backend)
         if bad == "vocab_size":
             bad = engine.config.dimensions.vocab_size
         rng = np.random.default_rng(47)
         tokens = rng.integers(0, VOCAB, size=(2, 3 * WINDOW))
         config = SessionConfig(stride=3)
-        clean = SessionManager(engine, config, backend=backend)
-        probed = SessionManager(engine, config, backend=backend)
+        clean = SessionManager(engine, config)
+        probed = SessionManager(engine, config)
         want, got = [], []
         for tick in range(tokens.shape[1]):
             batch = {"a": int(tokens[0, tick]), "b": int(tokens[1, tick])}

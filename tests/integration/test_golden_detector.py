@@ -74,7 +74,7 @@ class TestGoldenScores:
             assert decided == baseline, f"{level} disagrees with VANILLA"
 
 
-#: Every registered backend beyond the default the golden file was
+#: Every backend beyond the one the golden file was
 #: generated with; each must reproduce the golden scores bit-exactly.
 _EXTRA_BACKENDS = [b for b in available_backends() if b != "reference"]
 

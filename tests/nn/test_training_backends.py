@@ -22,7 +22,6 @@ from repro.nn.kernels import (
     METRIC_TRAIN_FALLBACK,
     ReferenceTrainingKernel,
     available_training_backends,
-    register_training_backend,
     resolve_training_backend,
 )
 from repro.nn.model import SequenceClassifier
@@ -72,14 +71,6 @@ class TestRegistry:
     def test_unknown_backend_raises_with_available_list(self):
         with pytest.raises(ValueError, match="unknown training backend"):
             resolve_training_backend("turbo", _model())
-
-    def test_register_custom_backend(self):
-        register_training_backend("custom-test", ReferenceTrainingKernel)
-        try:
-            kernel = resolve_training_backend("custom-test", _model())
-            assert isinstance(kernel, ReferenceTrainingKernel)
-        finally:
-            del kernels._REGISTRY["custom-test"]
 
     def test_trainer_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown training backend"):

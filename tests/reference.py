@@ -113,8 +113,8 @@ def golden_detector_scores(model, test_split, backend: str = "reference") -> dic
     :class:`~repro.ransomware.detector.RansomwareDetector` (stride 1), so
     every score travels the full deployed path: buffer fill, window
     formation, CSD engine inference.  ``backend`` selects the kernel
-    backend under test; every registered backend must reproduce the
-    golden scores bit-exactly.
+    backend under test; every backend must reproduce the golden scores
+    bit-exactly.
     """
     sequences = test_split.sequences[:GOLDEN_SAMPLE_COUNT]
     scores: dict = {}

@@ -41,7 +41,7 @@ class TestParser:
         text = parser.format_help()
         for command in (
             "dataset", "train", "evaluate", "scan", "report", "monitor",
-            "fleet-serve", "control-plane", "generalize",
+            "fleet-serve", "control-plane", "generalize", "respond",
         ):
             assert command in text
 
@@ -253,3 +253,22 @@ class TestGeneralizeCommand:
         with pytest.raises(SystemExit):
             main(["generalize", "--modalities", "api", "--workers", "2"])
         assert captured["config"].workers == 2
+
+
+class TestRespondCommand:
+    def test_backend_flag_reaches_the_replay_engine(self, tmp_path, capsys):
+        import json
+
+        telemetry_path = tmp_path / "telemetry.jsonl"
+        exit_code = main([
+            "--telemetry", str(telemetry_path), "--backend", "fused",
+            "respond", "--ransomware", "1", "--benign", "1",
+            "--scale", "0.02", "--epochs", "1", "--sequence-length", "20",
+            "--benign-length", "60", "--user-objects", "2",
+        ])
+        assert exit_code == 0
+        assert "[audit] hash chain verified" in capsys.readouterr().out
+        events = [json.loads(line) for line in telemetry_path.open()]
+        ticks = [e for e in events if e.get("name") == "repro_backend_ticks_total"]
+        assert ticks
+        assert {e["labels"]["backend"] for e in ticks} == {"fused"}
