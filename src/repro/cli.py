@@ -97,8 +97,9 @@ def _add_training_arguments(parser) -> None:
     parser.add_argument(
         "--train-backend", choices=available_training_backends(),
         default=DEFAULT_TRAIN_BACKEND,
-        help="training kernel backend; 'fused' is bit-exact with "
-             "'reference' and faster (see docs/performance.md)")
+        help="training kernel backend; the default 'fused' is "
+             "bit-exact with the 'reference' oracle and faster (see "
+             "docs/performance.md)")
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
         help="content-addressed model cache directory: identical "
@@ -810,7 +811,6 @@ def _run_respond(args) -> int:
         CSDInferenceEngine.from_model(model, sequence_length=args.sequence_length),
         OptimizationLevel.FIXED_POINT, args,
     )
-    _maybe_attach_telemetry(engine, args)
 
     policy = ResponsePolicy(
         observe_threshold=args.threshold,

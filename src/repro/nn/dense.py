@@ -45,11 +45,17 @@ class Dense:
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Apply the affine transform to a ``(batch, input_dim)`` array."""
         inputs = np.asarray(inputs, dtype=np.float64)
+        outputs = self.infer(inputs)
+        self._cached_input = inputs
+        return outputs
+
+    def infer(self, inputs: np.ndarray) -> np.ndarray:
+        """:meth:`forward` without keeping the input for :meth:`backward`."""
+        inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 2 or inputs.shape[1] != self.input_dim:
             raise ValueError(
                 f"expected inputs of shape (B, {self.input_dim}), got {inputs.shape}"
             )
-        self._cached_input = inputs
         return inputs @ self.W + self.b
 
     def backward(self, grad_output: np.ndarray):

@@ -60,12 +60,18 @@ class Embedding:
             Embeddings of shape ``(batch, timesteps, embedding_dim)``.
         """
         token_ids = np.asarray(token_ids)
+        embedded = self.infer(token_ids)
+        self._cached_ids = token_ids
+        return embedded
+
+    def infer(self, token_ids: np.ndarray) -> np.ndarray:
+        """:meth:`forward` without keeping the ids for :meth:`backward`."""
+        token_ids = np.asarray(token_ids)
         if token_ids.min(initial=0) < 0 or token_ids.max(initial=0) >= self.vocab_size:
             raise ValueError(
                 f"token ids must be in [0, {self.vocab_size}), got range "
                 f"[{token_ids.min()}, {token_ids.max()}]"
             )
-        self._cached_ids = token_ids
         return self.weights[token_ids]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -9,22 +9,24 @@ array allocations per batch.  This module gives :class:`~repro.nn.trainer.Traine
 two *training backends* for that hot path, mirroring the session kernel
 backends in ``core/kernels/backends.py``:
 
+* ``fused`` (the default) — the BPTT arithmetic restructured as one
+  precompiled forward+backward pass per batch over persistent preallocated
+  ``(B, T, H)`` buffers.  Per timestep the forward runs one dgemm, one
+  ``np.exp`` over the packed ``(B, 4H)`` pre-activations, and a single
+  fused element-wise kernel (gate select, softsign candidate, cell and
+  hidden update); the backward runs a single fused kernel for the whole
+  element-wise gradient chain and keeps the dgemms in NumPy with operand
+  views identical to the reference.  The element-wise kernels are a small
+  C step pair built once per hidden size through the compile ladder the
+  session backend shares (:mod:`repro.accel`); each buffer set reads its
+  arrays' addresses once, when it is built, so a timestep's call passes
+  stored integers plus ``t``.  Without a compiler the steps run as a
+  vectorised NumPy formulation of the same arithmetic.
 * ``reference`` — ``SequenceClassifier.train_batch`` invoked exactly as
-  before.  It is the bit-exactness oracle: every other backend must
+  written.  It is the bit-exactness oracle: every other backend must
   reproduce its loss and every gradient array bit for bit, so
   ``ConvergenceHistory``, golden detector scores, and the generalization
   benchmark numbers are unchanged no matter which backend trained the model.
-* ``fused`` — the same BPTT arithmetic restructured as one precompiled
-  forward+backward pass per batch over persistent preallocated ``(B, T, H)``
-  buffers.  Per timestep the forward runs one dgemm, one ``np.exp`` over the
-  packed ``(B, 4H)`` pre-activations, and a single fused element-wise kernel
-  (gate select, softsign candidate, cell and hidden update); the backward
-  runs a single fused kernel for the whole element-wise gradient chain and
-  keeps the dgemms in NumPy with operand views identical to the reference.
-  The element-wise kernels are a small C step pair built once per hidden
-  size through the compile ladder the session backend shares
-  (:mod:`repro.accel`); without a compiler they run as a vectorised NumPy
-  formulation of the same arithmetic.
 
 Why the restructuring is bit-exact
 ----------------------------------
@@ -91,7 +93,7 @@ FALLBACK_UNSUPPORTED = "unsupported_activation"
 FALLBACK_SELF_CHECK = "self_check_failed"
 
 #: The default backend of :class:`~repro.nn.trainer.TrainingConfig`.
-DEFAULT_TRAIN_BACKEND = "reference"
+DEFAULT_TRAIN_BACKEND = "fused"
 
 
 class TrainingKernel:
@@ -152,7 +154,14 @@ _TrainSteps = collections.namedtuple("_TrainSteps", "fwd bwd")
 
 
 class _TrainBuffers:
-    """Persistent work/cache arrays for one ``(batch, timesteps)`` shape."""
+    """Persistent work/cache arrays for one ``(batch, timesteps)`` shape.
+
+    ``fwd_args``/``bwd_args`` are the compiled step pair's arguments
+    minus ``t``: the arrays' base addresses and the shape, read once here
+    so the timestep loop passes stored integers.  The arrays never move
+    (every write into them is in place), so the addresses stay valid for
+    the life of the buffer set.
+    """
 
     def __init__(self, batch: int, timesteps: int, hidden: int, input_dim: int):
         shape_bt = (batch, timesteps, hidden)
@@ -174,6 +183,17 @@ class _TrainBuffers:
         self.tmp_wx = np.empty((input_dim, 4 * hidden))
         self.tmp_wh = np.empty((hidden, 4 * hidden))
         self.inputs: np.ndarray | None = None
+        shape = (batch, timesteps)
+        self.fwd_args = _addresses(
+            self.pre, self.z, self.i, self.f, self.o, self.c_bar, self.pre_c,
+            self.cell, self.hidden) + shape
+        self.bwd_args = _addresses(
+            self.i, self.f, self.o, self.c_bar, self.pre_c, self.cell,
+            self.grad_h, self.grad_c, self.d_pre) + shape
+
+
+def _addresses(*arrays) -> tuple:
+    return tuple(array.ctypes.data for array in arrays)
 
 
 class FusedTrainingKernel(TrainingKernel):
@@ -305,8 +325,7 @@ class FusedTrainingKernel(TrainingKernel):
             np.negative(z, out=z)
             np.exp(z, out=z)
             if steps is not None:
-                steps.fwd(pre, z, buf.i, buf.f, buf.o, buf.c_bar, buf.pre_c,
-                          buf.cell, buf.hidden, t)
+                steps.fwd(*buf.fwd_args, t)
             else:
                 self._numpy_fwd_step(buf, h, t)
         return buf.hidden[:, timesteps, :], buf
@@ -347,8 +366,7 @@ class FusedTrainingKernel(TrainingKernel):
 
         for t in range(timesteps - 1, -1, -1):
             if steps is not None:
-                steps.bwd(buf.i, buf.f, buf.o, buf.c_bar, buf.pre_c,
-                          buf.cell, grad_h, grad_c, d_pre, t)
+                steps.bwd(*buf.bwd_args, t)
             else:
                 self._numpy_bwd_step(buf, h, t)
             np.matmul(inputs[:, t].T, d_pre, out=buf.tmp_wx)
@@ -391,7 +409,8 @@ def _render_cc_train_steps(hidden_size: int) -> str:
 
     Gate/candidate caches are ``(B, T, H)`` and the states ``(B, T+1, H)``;
     the kernels take the base pointers plus ``t`` and handle the row stride
-    internally, so the Python loop passes the persistent buffers untouched.
+    internally, so the Python loop passes one buffer set's addresses,
+    read once (:class:`_TrainBuffers`), at every timestep.
     Everything here is ``+ - * /``/``fabs``, and :mod:`repro.accel` pins
     ``-ffp-contract=off`` so the two multiply-add chains (cell update,
     recurrent grad accumulation) cannot be contracted into
@@ -478,29 +497,19 @@ void repro_train_bwd_step(const double *restrict gi, const double *restrict gf,
 
 
 def _cc_train_steps(hidden_size: int):
-    """The compiled C step pair bound to arrays, or ``None`` (no compiler)."""
+    """The compiled C step pair, or ``None`` (no compiler).
+
+    Each step takes a :class:`_TrainBuffers`' ``fwd_args``/``bwd_args``
+    followed by ``t``.
+    """
     library = accel.load_library(_render_cc_train_steps(hidden_size))
     if library is None:
         return None
-    raw_fwd = library.repro_train_fwd_step
-    raw_bwd = library.repro_train_bwd_step
-    for raw in (raw_fwd, raw_bwd):
+    steps = _TrainSteps(library.repro_train_fwd_step, library.repro_train_bwd_step)
+    for raw in steps:
         raw.restype = None
         raw.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_long] * 3
-
-    def fwd(pre, z, gi, gf, go, cb, pc, cell, hidden, t):
-        raw_fwd(pre.ctypes.data, z.ctypes.data, gi.ctypes.data,
-                gf.ctypes.data, go.ctypes.data, cb.ctypes.data,
-                pc.ctypes.data, cell.ctypes.data, hidden.ctypes.data,
-                gi.shape[0], gi.shape[1], t)
-
-    def bwd(gi, gf, go, cb, pc, cell, grad_h, grad_c, d_pre, t):
-        raw_bwd(gi.ctypes.data, gf.ctypes.data, go.ctypes.data,
-                cb.ctypes.data, pc.ctypes.data, cell.ctypes.data,
-                grad_h.ctypes.data, grad_c.ctypes.data,
-                d_pre.ctypes.data, gi.shape[0], gi.shape[1], t)
-
-    return _TrainSteps(fwd, bwd)
+    return steps
 
 
 # ----------------------------------------------------------------------

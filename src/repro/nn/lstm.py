@@ -24,6 +24,12 @@ of the weights W for x_t, the W for h_{t-1}, and the related b terms"):
 * ``b``   — shape ``(4*hidden,)``;
 
 with gates packed in Keras order ``[i, f, C', o]`` along the last axis.
+
+Two forwards share one cell step: :meth:`LSTM.forward` keeps every
+timestep's gates, candidates and states for :meth:`LSTM.backward`, and
+:meth:`LSTM.infer` (prediction and evaluation) carries only the running
+``(B, H)`` hidden and cell states and returns the same ``h_T`` bit for
+bit.
 """
 
 from __future__ import annotations
@@ -58,6 +64,9 @@ class _LSTMCache:
 
 class LSTM:
     """Single-layer LSTM returning the final hidden state.
+
+    :meth:`forward` caches for BPTT; :meth:`infer` is the cache-free
+    inference forward.
 
     Parameters
     ----------
@@ -120,8 +129,48 @@ class LSTM:
             packed[..., 3 * h : 4 * h],
         )
 
+    def _check_inputs(self, inputs: np.ndarray) -> np.ndarray:
+        inputs = np.asarray(inputs, dtype=np.float64)
+        if inputs.ndim != 3 or inputs.shape[2] != self.input_dim:
+            raise ValueError(
+                f"expected inputs of shape (B, T, {self.input_dim}), got {inputs.shape}"
+            )
+        return inputs
+
+    def _project(self, inputs: np.ndarray) -> np.ndarray:
+        """The input-side affine transform ``x_t W_x + b`` for every ``t``.
+
+        It has no recurrent dependency, so all T matmuls batch into one
+        ``(B, T, 4H)`` product, hoisted out of the timestep loop; the bias
+        is added in place so only one such array is ever live.
+        """
+        x_proj = inputs @ self.W_x
+        x_proj += self.b
+        return x_proj
+
+    def _cell_step(self, pre: np.ndarray, c_prev: np.ndarray):
+        """One cell update from packed ``(B, 4H)`` pre-activations.
+
+        Returns ``(i, f, o, c_bar, c, h)``: the three gates, the candidate
+        ``C'_t``, and the new cell and hidden states.  Both forwards run
+        this one function, so the cached and cache-free passes share every
+        rounding step.
+        """
+        p_i, p_f, p_c, p_o = self._split_gates(pre)
+        gate_i = sigmoid(p_i)
+        gate_f = sigmoid(p_f)
+        gate_o = sigmoid(p_o)
+        c_bar = self._g(p_c)
+        c = gate_f * c_prev + gate_i * c_bar
+        return gate_i, gate_f, gate_o, c_bar, c, gate_o * self._g(c)
+
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Run the sequence through the cell.
+        """Run the sequence through the cell, keeping the BPTT cache.
+
+        The cache (every gate, candidate, pre-activation and state at
+        every timestep) stays on the layer until the next ``forward`` for
+        :meth:`backward` to consume.  Inference uses :meth:`infer`, which
+        keeps none of it.
 
         Parameters
         ----------
@@ -133,11 +182,7 @@ class LSTM:
         numpy.ndarray
             Final hidden state ``h_T`` of shape ``(batch, hidden_size)``.
         """
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 3 or inputs.shape[2] != self.input_dim:
-            raise ValueError(
-                f"expected inputs of shape (B, T, {self.input_dim}), got {inputs.shape}"
-            )
+        inputs = self._check_inputs(inputs)
         batch, timesteps, _ = inputs.shape
         h = self.hidden_size
 
@@ -152,23 +197,12 @@ class LSTM:
         cell = np.zeros((batch, timesteps + 1, h))
         hidden = np.zeros((batch, timesteps + 1, h))
 
-        # Hoist the input-side affine transform out of the timestep loop:
-        # it has no recurrent dependency, so all T matmuls batch into one.
-        x_proj = inputs @ self.W_x + self.b  # (B, T, 4H)
-
+        x_proj = self._project(inputs)
         for t in range(timesteps):
             pre = x_proj[:, t, :] + hidden[:, t, :] @ self.W_h
-            p_i, p_f, p_c, p_o = self._split_gates(pre)
-            pre_i[:, t] = p_i
-            pre_f[:, t] = p_f
-            pre_c[:, t] = p_c
-            pre_o[:, t] = p_o
-            gate_i[:, t] = sigmoid(p_i)
-            gate_f[:, t] = sigmoid(p_f)
-            gate_o[:, t] = sigmoid(p_o)
-            c_bar[:, t] = self._g(p_c)
-            cell[:, t + 1] = gate_f[:, t] * cell[:, t] + gate_i[:, t] * c_bar[:, t]
-            hidden[:, t + 1] = gate_o[:, t] * self._g(cell[:, t + 1])
+            pre_i[:, t], pre_f[:, t], pre_c[:, t], pre_o[:, t] = self._split_gates(pre)
+            (gate_i[:, t], gate_f[:, t], gate_o[:, t], c_bar[:, t],
+             cell[:, t + 1], hidden[:, t + 1]) = self._cell_step(pre, cell[:, t])
 
         self._cache = _LSTMCache(
             inputs=inputs,
@@ -184,6 +218,24 @@ class LSTM:
             hidden=hidden,
         )
         return hidden[:, timesteps, :]
+
+    def infer(self, inputs: np.ndarray) -> np.ndarray:
+        """Inference forward: ``h_T`` without any BPTT cache.
+
+        Carries only the running ``(B, H)`` hidden and cell states through
+        the same :meth:`_cell_step` as :meth:`forward`, so the result equals
+        ``forward(inputs)`` bit for bit; the layer's cache is left as it
+        was.
+        """
+        inputs = self._check_inputs(inputs)
+        batch, timesteps, _ = inputs.shape
+        x_proj = self._project(inputs)
+        hidden = np.zeros((batch, self.hidden_size))
+        cell = np.zeros((batch, self.hidden_size))
+        for t in range(timesteps):
+            pre = x_proj[:, t, :] + hidden @ self.W_h
+            *_, cell, hidden = self._cell_step(pre, cell)
+        return hidden
 
     def backward(self, grad_h_final: np.ndarray):
         """Backpropagate through time from a gradient on ``h_T``.

@@ -64,7 +64,7 @@ class SequenceClassifier:
         )
 
     def forward_logits(self, token_ids: np.ndarray) -> np.ndarray:
-        """Compute raw (pre-sigmoid) scores for a batch of sequences.
+        """Compute raw (pre-sigmoid) scores, caching for :meth:`train_batch`.
 
         Parameters
         ----------
@@ -81,8 +81,15 @@ class SequenceClassifier:
         return self.head.forward(final_hidden).reshape(-1)
 
     def predict_proba(self, token_ids: np.ndarray) -> np.ndarray:
-        """Ransomware probability per sequence, shape ``(batch,)``."""
-        return sigmoid(self.forward_logits(token_ids))
+        """Ransomware probability per sequence, shape ``(batch,)``.
+
+        Runs every layer's cache-free ``infer``: the scores equal
+        ``sigmoid(forward_logits(...))`` bit for bit, but no BPTT cache is
+        built and the layers' training caches are left as they were.
+        """
+        embedded = self.embedding.infer(token_ids)
+        final_hidden = self.lstm.infer(embedded)
+        return sigmoid(self.head.infer(final_hidden).reshape(-1))
 
     def predict(self, token_ids: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         """Hard binary predictions at the given probability threshold."""

@@ -80,9 +80,10 @@ class TrainingConfig:
     #: after training — the paper reports its metrics "at this juncture"
     #: (the peak), which is what deployment would ship.
     restore_best_weights: bool = False
-    #: Training kernel backend (see ``repro.nn.kernels``): ``"reference"``
-    #: or the bit-exact ``"fused"`` pass.  Excluded from the model-cache
-    #: key precisely because backends are bit-exact with each other.
+    #: Training kernel backend (see ``repro.nn.kernels``): the fused BPTT
+    #: pass (the default) or the ``"reference"`` oracle it is bit-exact
+    #: with.  Excluded from the model-cache key precisely because backends
+    #: are bit-exact with each other.
     backend: str = DEFAULT_TRAIN_BACKEND
 
 

@@ -34,7 +34,12 @@ from repro.hw.smartssd import WriteRefused
 from repro.ransomware.benign import ALL_BENIGN_PROFILES
 from repro.ransomware.families import ALL_FAMILIES
 from repro.ransomware.monitor import ProcessMonitor
-from repro.ransomware.sandbox import ApiTrace, CuckooSandbox
+from repro.ransomware.sandbox import (
+    ApiTrace,
+    CuckooSandbox,
+    draw_weighted,
+    weighted_cdf,
+)
 from repro.ransomware.traces.adapters import MODALITIES
 from repro.ransomware.traces.block_io import BlockIoSynthesizer
 from repro.ransomware.traces.filesystem import FsEventSynthesizer
@@ -71,7 +76,7 @@ def interleave_traces(lengths, seed: int = 0) -> list:
     order: list = []
     while any(remaining):
         weights = np.array(remaining, dtype=np.float64)
-        index = int(rng.choice(len(remaining), p=weights / weights.sum()))
+        index = draw_weighted(rng, weighted_cdf(weights))
         order.append(index)
         remaining[index] -= 1
     return order
@@ -258,12 +263,17 @@ class ScenarioReplay:
         Detector parameters (``is_ransomware`` on the verdicts the
         policy consumes).
     telemetry:
-        Optional; forwarded to the response engine (``repro_resp_*``).
+        Optional; attached to ``engine`` (the monitor's sessions, kernel
+        backend and AXI ports: ``repro_session_*``, ``repro_backend_*``,
+        ``repro_axi_*``) and forwarded to the response engine
+        (``repro_resp_*``).
     """
 
     def __init__(self, engine, storage, policy: ResponsePolicy | None = None,
                  monitor_threshold: float = 0.5, stride: int = 10,
                  telemetry=None, audit: AuditLog | None = None):
+        if telemetry is not None:
+            engine.attach_telemetry(telemetry)
         self.engine = engine
         self.storage = storage
         self.monitor = ProcessMonitor(

@@ -68,6 +68,30 @@ class _VariantJitter:
     weight_noise: dict   # category -> multiplicative factor
 
 
+def weighted_cdf(weights: np.ndarray) -> np.ndarray:
+    """The cumulative table :func:`draw_weighted` draws from.
+
+    It is the table ``rng.choice(n, p=weights / weights.sum())`` builds
+    on every call; build it once per weight vector instead.
+    """
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_weighted(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """One weighted draw: ``rng.choice`` without re-validating ``p``.
+
+    For ``cdf = weighted_cdf(weights)`` it returns the index
+    ``rng.choice(n, p=weights / weights.sum())`` would, and leaves the
+    generator in the same state: it is the same arithmetic (one uniform,
+    a right-sided search of the cumulative table).  ``choice``'s
+    validation of ``p`` dominated trace synthesis when repeated per
+    emitted call.
+    """
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 class CuckooSandbox:
     """Synthesises API-call traces from behaviour profiles.
 
@@ -183,7 +207,7 @@ class CuckooSandbox:
                 for category in categories
             ]
         )
-        weights = weights / weights.sum()
+        cdf = weighted_cdf(weights)
 
         calls: list = []
         while len(calls) < length:
@@ -194,7 +218,7 @@ class CuckooSandbox:
                 motif = phase.motifs[rng.integers(0, len(phase.motifs))]
                 calls.extend(motif.calls)
             else:
-                category = categories[rng.choice(len(categories), p=weights)]
+                category = categories[draw_weighted(rng, cdf)]
                 token_ids = CATEGORY_TOKEN_IDS[category]
                 calls.append(API_NAMES[token_ids[rng.integers(0, len(token_ids))]])
         return calls

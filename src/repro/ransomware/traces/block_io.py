@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.ransomware.benign import BenignProfile
 from repro.ransomware.families import FamilyProfile, Phase
+from repro.ransomware.sandbox import draw_weighted, weighted_cdf
 
 #: One logical block is 4 KiB; LBAs index these blocks.
 BLOCK_BYTES = 4096
@@ -290,13 +291,13 @@ class BlockIoSynthesizer:
         length = max(5, int(round(phase.length * io_scale * jitter.length_scale)))
         kinds = sorted(mix)
         weights = np.array([mix[k] * jitter.mix_noise.get(k, 1.0) for k in kinds])
-        weights = weights / weights.sum()
+        cdf = weighted_cdf(weights)
         emitted = 0
         while emitted < length:
             if rng.random() < BACKGROUND_NOISE_RATE:
                 burst = state.noise(rng)
             else:
-                kind = kinds[rng.choice(len(kinds), p=weights)]
+                kind = kinds[draw_weighted(rng, cdf)]
                 burst = getattr(state, kind)(rng)
             events.extend(burst)
             emitted += len(burst)

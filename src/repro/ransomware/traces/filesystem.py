@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.ransomware.benign import BenignProfile
 from repro.ransomware.families import FamilyProfile, Phase
+from repro.ransomware.sandbox import draw_weighted, weighted_cdf
 
 #: File-extension classes (coarse, the way a filesystem filter would bin
 #: them): user documents, images, media, databases, executables/system,
@@ -224,13 +225,13 @@ class FsEventSynthesizer:
         length = max(5, int(round(phase.length * io_scale * jitter.length_scale)))
         kinds = sorted(mix)
         weights = np.array([mix[k] * jitter.mix_noise.get(k, 1.0) for k in kinds])
-        weights = weights / weights.sum()
+        cdf = weighted_cdf(weights)
         emitted = 0
         while emitted < length:
             if rng.random() < BACKGROUND_NOISE_RATE:
                 burst = _noise(rng)
             else:
-                kind = kinds[rng.choice(len(kinds), p=weights)]
+                kind = kinds[draw_weighted(rng, cdf)]
                 burst = _EMITTERS[kind](rng)
             events.extend(burst)
             emitted += len(burst)

@@ -58,6 +58,14 @@ class TestEmbedding:
         with pytest.raises(RuntimeError):
             Embedding(10, 4, rng).backward(np.zeros((1, 1, 4)))
 
+    def test_infer_validates_ids_and_keeps_no_cache(self, rng):
+        layer = Embedding(10, 4, rng)
+        with pytest.raises(ValueError):
+            layer.infer(np.array([[10]]))
+        ids = np.array([[1, 2], [3, 9]])
+        np.testing.assert_array_equal(layer.infer(ids), layer.weights[ids])
+        assert layer._cached_ids is None
+
     def test_backward_accumulates_repeated_ids(self, rng):
         layer = Embedding(10, 4, rng)
         ids = np.array([[2, 2, 2]])
@@ -182,6 +190,28 @@ class TestLSTM:
         first = layer.forward(inputs)
         second = layer.forward(inputs)
         np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("activation", ["softsign", "tanh"])
+    @pytest.mark.parametrize("batch", [1, 7, 290])
+    def test_infer_equals_forward_bitwise(self, activation, batch):
+        layer = LSTM(8, 32, np.random.default_rng(4), cell_activation=activation)
+        inputs = np.random.default_rng(batch).standard_normal((batch, 60, 8)) * 2
+        inferred = layer.infer(inputs)
+        np.testing.assert_array_equal(inferred, layer.forward(inputs))
+        assert inferred.shape == (batch, 32)
+
+    def test_infer_keeps_no_cache(self, rng):
+        layer = LSTM(3, 4, rng)
+        layer.infer(rng.standard_normal((2, 5, 3)))
+        assert layer._cache is None
+        layer.forward(rng.standard_normal((2, 5, 3)))
+        cache = layer._cache
+        layer.infer(rng.standard_normal((6, 9, 3)))
+        assert layer._cache is cache
+
+    def test_infer_rejects_wrong_input_dim(self, rng):
+        with pytest.raises(ValueError):
+            LSTM(3, 4, rng).infer(np.zeros((2, 5, 4)))
 
 
 class TestDense:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn.activations import sigmoid
 from repro.nn.model import (
     PAPER_EMBEDDING_DIM,
     PAPER_HIDDEN_SIZE,
@@ -42,6 +43,28 @@ class TestModel:
         np.testing.assert_array_equal(
             model.predict(x), (probs >= 0.5).astype(int)
         )
+
+    def test_predict_proba_equals_forward_logits_bitwise(self, rng):
+        model = SequenceClassifier(vocab_size=12, embedding_dim=4, hidden_size=5)
+        x = rng.integers(0, 12, size=(9, 7))
+        np.testing.assert_array_equal(
+            model.predict_proba(x), sigmoid(model.forward_logits(x))
+        )
+
+    def test_predict_leaves_training_caches_alone(self, rng):
+        model = SequenceClassifier(vocab_size=12, embedding_dim=4, hidden_size=5)
+        model.train_batch(rng.integers(0, 12, size=(3, 7)), np.array([0, 1, 1]))
+        caches = (model.lstm._cache, model.embedding._cached_ids,
+                  model.head._cached_input)
+        model.predict(rng.integers(0, 12, size=(5, 11)))
+        assert model.lstm._cache is caches[0]
+        assert model.embedding._cached_ids is caches[1]
+        assert model.head._cached_input is caches[2]
+
+    def test_predict_rejects_out_of_range_ids(self):
+        model = SequenceClassifier(vocab_size=12, embedding_dim=4, hidden_size=5)
+        with pytest.raises(ValueError, match="token ids"):
+            model.predict(np.array([[0, 12]]))
 
     def test_deterministic_given_seed(self, rng):
         x = rng.integers(0, 12, size=(2, 7))

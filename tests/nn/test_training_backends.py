@@ -8,10 +8,13 @@ observable through ``repro_train_backend_fallback_total`` and never
 change a single number.
 """
 
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import accel
 from repro.nn import kernels
 from repro.nn.kernels import (
     DEFAULT_TRAIN_BACKEND,
@@ -57,7 +60,7 @@ class TestRegistry:
     def test_builtin_backends_registered(self):
         assert "reference" in available_training_backends()
         assert "fused" in available_training_backends()
-        assert DEFAULT_TRAIN_BACKEND == "reference"
+        assert DEFAULT_TRAIN_BACKEND == "fused"
 
     def test_resolve_returns_bound_kernels(self):
         model = _model()
@@ -138,6 +141,24 @@ class TestFusedParity:
             ).records
         assert histories["reference"] == histories["fused"]
 
+    def test_buffer_sets_rebound_after_clear_stay_bitwise(self):
+        """More than eight batch shapes clear the buffer cache; the buffer
+        sets built after the clear bind fresh step arguments and still
+        match the reference bitwise, including a shape seen before it."""
+        fused = resolve_training_backend("fused", _model(seed=13))
+        if accel.find_compiler() is not None:
+            assert fused.accel_tier == accel.TIER  # the bound C step pair
+        reference_model = _model(seed=13)
+        rng = np.random.default_rng(13)
+        shapes = [(batch, 3 + batch % 4) for batch in range(1, 12)] + [(1, 4)]
+        for batch_size, timesteps in shapes:
+            token_ids, labels = _batch(rng, batch_size, timesteps)
+            _assert_same_result(
+                fused.train_batch(token_ids, labels),
+                reference_model.train_batch(token_ids, labels),
+            )
+        assert len(fused._buffers) < len(set(shapes))
+
     def test_numpy_rung_parity(self, monkeypatch):
         """With every compiled tier disabled, the fused NumPy formulation
         still matches the reference bitwise (and stays on the fused path)."""
@@ -179,11 +200,17 @@ class TestDegradation:
         self-check (counted as ``jit_error``) and the kernel re-validates on
         the NumPy rung — training output never changes."""
 
-        def broken_fwd(*arrays):
-            arrays[2][...] = 0.5  # corrupt the input-gate cache
+        hidden = 16  # _model's default
 
-        def inert_bwd(*arrays):
-            arrays[8].fill(0.0)  # d_pre: defined but wrong
+        def broken_fwd(*args):
+            # args: nine buffer addresses, batch, timesteps, t.
+            batch, steps = args[9], args[10]
+            # Corrupt the input-gate cache (all-zero bytes are 0.0).
+            ctypes.memset(args[2], 0, batch * steps * hidden * 8)
+
+        def inert_bwd(*args):
+            batch = args[9]
+            ctypes.memset(args[8], 0, batch * 4 * hidden * 8)  # d_pre
 
         monkeypatch.setattr(
             kernels, "_cc_train_steps",

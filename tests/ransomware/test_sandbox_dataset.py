@@ -17,7 +17,7 @@ from repro.ransomware.dataset import (
     save_csv,
 )
 from repro.ransomware.families import CERBER, RYUK, WANNACRY
-from repro.ransomware.sandbox import CuckooSandbox
+from repro.ransomware.sandbox import CuckooSandbox, draw_weighted, weighted_cdf
 
 
 class TestSandbox:
@@ -81,6 +81,41 @@ class TestSandbox:
         trace = CuckooSandbox().execute_ransomware(RYUK, 1)
         for call in trace.calls:
             assert call in API_TO_CATEGORY
+
+
+class TestWeightedDraw:
+    """``draw_weighted`` over ``weighted_cdf(w)`` is
+    ``rng.choice(n, p=w / w.sum())``."""
+
+    def test_same_draws_as_choice(self):
+        vectors = [
+            [1.0],
+            [0.0, 1.0],
+            [1.0, 0.0],
+            [0.0, 3.0, 0.0, 1.0, 0.0],
+            [0.5, 0.5],
+            [1e-12, 1.0, 1e-12],
+            list(range(1, 40)),
+        ]
+        shapes = np.random.default_rng(99)
+        for _ in range(20):
+            weights = shapes.random(int(shapes.integers(2, 30)))
+            weights[shapes.random(weights.size) < 0.3] = 0.0
+            weights[int(shapes.integers(0, weights.size))] += 0.1
+            vectors.append(weights)
+        for seed in range(25):
+            for weights in vectors:
+                weights = np.asarray(weights, dtype=np.float64)
+                p = weights / weights.sum()
+                cdf = weighted_cdf(weights)
+                expected_rng = np.random.default_rng(seed)
+                rng = np.random.default_rng(seed)
+                for _ in range(40):
+                    expected = expected_rng.choice(len(p), p=p)
+                    got = draw_weighted(rng, cdf)
+                    assert got == expected
+                    assert p[got] > 0.0
+                assert rng.random() == expected_rng.random()
 
 
 class TestExtractWindows:

@@ -17,6 +17,7 @@ from repro.ransomware.replay import (
 from repro.ransomware.traces.adapters import MODALITIES
 from repro.response.policy import ACTION_OBSERVE, ResponsePolicy
 from repro.hw.smartssd import SmartSSD
+from repro.telemetry import Telemetry
 from tests.conftest import TEST_SEQUENCE_LENGTH
 
 MODALITY_NAMES = ("api", "block_io", "filesystem")
@@ -195,6 +196,25 @@ class TestScenarioReplay:
         second, _, _ = self._run(engine)
         assert first.audit.to_jsonl() == second.audit.to_jsonl()
         assert first.audit.stream_heads() == second.audit.stream_heads()
+
+    def test_telemetry_reaches_engine_and_sessions(self, trained_model):
+        engine = engine_at_level(
+            trained_model, OptimizationLevel.FIXED_POINT,
+            sequence_length=TEST_SEQUENCE_LENGTH,
+        )
+        telemetry = Telemetry()
+        streams = build_scenario("api", ransomware=1, benign=1, seed=3,
+                                 benign_length=150)
+        replay = ScenarioReplay(engine, SmartSSD(), monitor_threshold=0.01,
+                                stride=5, telemetry=telemetry)
+        replay.run(streams, seed=3)
+        totals = {}
+        for record in telemetry.metrics.snapshot():
+            name = record["name"]
+            totals[name] = totals.get(name, 0) + record.get("value", 0)
+        assert totals["repro_backend_ticks_total"] > 0
+        assert totals["repro_session_tokens_total"] == sum(len(s) for s in streams)
+        assert any(name.startswith("repro_resp_") for name in totals)
 
     def test_write_seconds_accumulate(self, engine):
         # Observe-only policy: nothing is ever blocked, so every write
